@@ -15,12 +15,12 @@ Two forms:
   breaks when a hot key's history exceeds a worker).
 - ``analytic_window_bucketed`` — group size bounded by (key × coarse
   time bucket). Per-cell local analytics are computed inside bounded
-  hash-partition frames with ONE vectorized pandas pass (never a frame
-  per tiny cell — the repo's round-4 rule); cross-cell corrections ride
-  on TINY per-cell patch rows (row-number offset, previous cell's last
-  W-1 values right-aligned into W-1 int columns, next cell's first
-  value) that are joined back with one ``bucketed_equi_join``. No
-  driver state; every stage is a Dataset op.
+  ``shuffle.partition_fold`` frames with ONE vectorized pandas pass
+  (never a frame per tiny cell — the repo's round-4 rule); cross-cell
+  corrections ride on TINY per-cell patch rows (row-number offset,
+  previous cell's last W-1 values right-aligned into W-1 int columns,
+  next cell's first value) that are joined back with one
+  ``bucketed_equi_join``. No driver state; every stage is a Dataset op.
 
 Exactness: values are summed as int64 (callers pass an integer value
 column — the q1 integer-units trick), so ``msum`` is association-free
@@ -34,6 +34,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from prompture_ray.stages.shuffle import partition_fold
 
 
 def _plain_run(order_cols: list, value_col: str, window: int):
@@ -75,38 +77,21 @@ def analytic_window_bucketed(ds, key_col: str, ts_col: str, tie_col: str,
                              n_parts: int = 64):
     """Hot-key-safe analytic window (see module docstring). Equality with
     ``analytic_window`` is pinned by test, including cells smaller than
-    the window (patch tails span multiple preceding cells)."""
+    the window (patch tails span multiple preceding cells). Null-key
+    rows are dropped: they have no (key, bucket) cell id to join on."""
     from prompture_ray.stages.joins import bucketed_equi_join
-    from prompture_ray.functions.sketches import hash64
+    from prompture_ray.stages.windows import _cell_tagger
     assert window >= 2, "window < 2 degenerates; use window >= 2"
-    bucket_us = int(pd.Timedelta(bucket).total_seconds() * 1e6)
     W = int(window)
     ptail_cols = [f"__p{j}" for j in range(1, W)]   # __p1 .. __p{W-1}
-
-    def tag(t: pa.Table) -> pa.Table:
-        ts = t[ts_col]
-        if isinstance(ts, pa.ChunkedArray):
-            ts = ts.combine_chunks()
-        us = pc.cast(pc.cast(ts, pa.timestamp("us")), pa.int64())
-        b = pc.multiply(pc.divide(us, bucket_us), bucket_us)
-        t = t.append_column("__bucket", b)
-        key = t[key_col]
-        if isinstance(key, pa.ChunkedArray):
-            key = key.combine_chunks()
-        kb = pc.binary_join_element_wise(
-            pc.cast(key, pa.string()), pc.cast(b, pa.string()), "|")
-        t = t.append_column("__kb", kb)
-        pb = hash64(np.asarray(kb.to_pylist(), dtype=object)) \
-            % np.uint64(n_parts)
-        return t.append_column("__pb", pa.array(pb.astype(np.int64)))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
+    tagged = ds.map_batches(_cell_tagger(key_col, ts_col, bucket, True),
+                            batch_format="pyarrow")
 
     # phase 1: local analytics per (key, bucket) cell — ONE vectorized
     # pandas pass over all cells in a bounded hash-partition frame
     def local(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, "__bucket", ts_col, tie_col],
-                          kind="mergesort").copy()
+                          kind="mergesort")
         grp = g.groupby([key_col, "__bucket"], sort=False)
         g["__lrn"] = (grp.cumcount() + 1).astype(np.int64)
         g["__n"] = grp[value_col].transform("size").astype(np.int64)
@@ -117,10 +102,10 @@ def analytic_window_bucketed(ds, key_col: str, ts_col: str, tie_col: str,
         g["__lmsum"] = lcum - lsh
         g["__llag"] = grp[value_col].shift(1).astype(np.float64)
         g["__llead"] = grp[value_col].shift(-1).astype(np.float64)
-        return g.drop(columns=["__pb"])
+        return g
 
-    part = tagged.groupby("__pb").map_groups(
-        local, batch_format="pandas").materialize()
+    part = partition_fold(tagged, [key_col, "__bucket"], local,
+                          n_parts=n_parts).materialize()
 
     # phase 2: per-cell patch rows from BOUNDARY rows only (first / last /
     # trailing W-1 rows of each cell — ≤ W+1 rows per cell reach this
@@ -132,12 +117,8 @@ def analytic_window_bucketed(ds, key_col: str, ts_col: str, tie_col: str,
     def boundary(b: pd.DataFrame) -> pd.DataFrame:
         lrn, n = b["__lrn"].to_numpy(), b["__n"].to_numpy()
         keep = (lrn == 1) | (lrn == n) | (lrn > n - (W - 1))
-        out = b.loc[keep, [key_col, "__bucket", "__kb", "__lrn", "__n",
-                           value_col]].copy()
-        kpb = hash64(np.asarray(out[key_col].to_numpy(), dtype=object)) \
-            % np.uint64(n_parts)
-        out["__kpb"] = kpb.astype(np.int64)
-        return out
+        return b.loc[keep, [key_col, "__bucket", "__kb", "__lrn", "__n",
+                            value_col]]
 
     def patches_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, "__bucket", "__lrn"],
@@ -181,10 +162,9 @@ def analytic_window_bucketed(ds, key_col: str, ts_col: str, tie_col: str,
                 ok, tv[idx] if len(tv) else 0, 0).astype(np.int64)
         return cells.drop(columns=[key_col, "__n", "__first", "__last"])
 
-    patch_ds = part.map_batches(boundary, batch_format="pandas") \
-        .groupby("__kpb").map_groups(patches_part,
-                                     batch_format="pandas") \
-        .materialize()
+    patch_ds = partition_fold(
+        part.map_batches(boundary, batch_format="pandas"), [key_col],
+        patches_part, n_parts=n_parts).materialize()
 
     part_cols = [c for c in part.schema().names if c != "__bucket"]
     joined = bucketed_equi_join(
@@ -239,13 +219,10 @@ def top_k_per_group(ds, key_col: str, order_col: str, k: int,
     Scale shape: a per-batch PARTIAL top-k (one vectorized sort +
     ``groupby.head(k)`` per batch — any row outside its batch-local
     top k can't be in the global top k) shrinks the shuffle to
-    <= k rows per (key, batch); the final pass groups partials by
-    ``hash64(key) % n_parts`` and re-ranks every key of the partition
-    in ONE vectorized pandas pass (never a frame per key). No global
-    sort, no driver state.
+    <= k rows per (key, batch); the final ``shuffle.partition_fold``
+    pass re-ranks every key of a partition in ONE vectorized pandas
+    pass (never a frame per key). No global sort, no driver state.
     """
-    from prompture_ray.functions.sketches import hash64
-
     by = [key_col, order_col, tie_col]
     asc = [True, ascending, True]
 
@@ -253,24 +230,15 @@ def top_k_per_group(ds, key_col: str, order_col: str, k: int,
         b = b.sort_values(by, ascending=asc, kind="mergesort")
         return b.groupby(key_col, sort=False).head(k)
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        kv = b[key_col].to_numpy()
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        b = b.copy()
-        b["__pb"] = (hash64(kv) % np.uint64(n_parts)).astype(np.int64)
-        return b
-
     def final(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(by, ascending=asc, kind="mergesort")
         g = g.groupby(key_col, sort=False).head(k)
         g["rk"] = g.groupby(key_col, sort=False).cumcount() + 1
         g["rk"] = g["rk"].astype("int64")
-        return g.drop(columns=["__pb"])
+        return g
 
-    return ds.map_batches(partial, batch_format="pandas") \
-        .map_batches(tag, batch_format="pandas") \
-        .groupby("__pb").map_groups(final, batch_format="pandas")
+    return partition_fold(ds.map_batches(partial, batch_format="pandas"),
+                          [key_col], final, n_parts=n_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +411,10 @@ def forward_fill(ds, key_col: str, ts_col: str, tie_col: str,
     in (``ts_col``, ``tie_col``) order; leading nulls stay null — the
     sensor/stream gap-repair primitive.
 
-    Scale shape: ONE hash64(key) % n_parts row shuffle (every key lands
-    wholly in one partition — the userpath pattern), then one vectorized
-    sort + ``groupby.ffill`` pandas pass per partition; never a frame
-    per key, no driver state. Auto-size ``n_parts`` ≈ rows / 5M for
+    Scale shape: one ``shuffle.partition_fold`` on the key (every key
+    lands wholly in one partition), then one vectorized sort +
+    ``groupby.ffill`` pandas pass per partition; never a frame per key,
+    no driver state. Auto-size ``n_parts`` ≈ rows / 5M for
     huge inputs. Int64 value columns travel as nullable Int64 inside
     the partition pass (``types_mapper``), so hash-magnitude payloads
     are NOT widened to float64 (the round-4 arrow-union lesson).
@@ -455,15 +423,6 @@ def forward_fill(ds, key_col: str, ts_col: str, tie_col: str,
     pathology: Ray groupby sort cost follows INPUT blocks — the
     1500-fragment 9M-row rehearsal measured 128x superlinear before
     this coalesce). Size ≈ rows / 500k beyond ~64M rows."""
-    from prompture_ray.functions.sketches import hash64
-
-    def tag(t: pa.Table) -> pa.Table:
-        kv = t[key_col].to_numpy(zero_copy_only=False)
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        pb = (hash64(kv) % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb, type=pa.int64()))
-
     _int64 = {pa.int64(): pd.Int64Dtype(), pa.int32(): pd.Int64Dtype()}
 
     def fill(g: pa.Table) -> pd.DataFrame:
@@ -472,11 +431,11 @@ def forward_fill(ds, key_col: str, ts_col: str, tie_col: str,
                             kind="mergesort")
         df[value_cols] = df.groupby(key_col, sort=False)[value_cols] \
             .ffill()
-        return df.drop(columns=["__pb"])
+        return df
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
-        .groupby("__pb").map_groups(fill, batch_format="pyarrow")
+    return partition_fold(ds, [key_col], fill, n_parts=n_parts,
+                          shuffle_blocks=shuffle_blocks,
+                          batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -498,27 +457,18 @@ def lag_shift(ds, key_col: str, ts_col: str, tie_col: str,
     snapshot per stream to diff against — this is that "previous row
     per key" primitive as a distributed analytic column.
 
-    Scale shape: ONE hash64(key) % n_parts row shuffle (every key lands
-    wholly in one partition — the userpath/forward_fill pattern), then
-    one vectorized sort + ``groupby.shift`` pandas pass per partition;
-    never a frame per key, no driver state. Auto-size ``n_parts`` ≈
+    Scale shape: one ``shuffle.partition_fold`` on the key (every key
+    lands wholly in one partition), then one vectorized sort +
+    ``groupby.shift`` pandas pass per partition; never a frame per key,
+    no driver state. Auto-size ``n_parts`` ≈
     rows / 5M for huge inputs; a single pathologically hot key bounds a
     partition (use analytic_window_bucketed when one key's history
     exceeds a worker). ``shuffle_blocks`` bounds the groupby's input
     block count (round-5 pathology: groupby sort cost follows INPUT
     blocks); size ≈ rows / 500k beyond ~64M rows."""
-    from prompture_ray.functions.sketches import hash64
-
     shifts = tuple(int(k) for k in shifts)
     if any(k == 0 for k in shifts):
         raise ValueError("lag_shift: shift 0 is the identity")
-
-    def tag(t: pa.Table) -> pa.Table:
-        kv = t[key_col].to_numpy(zero_copy_only=False)
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        pb = (hash64(kv) % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb, type=pa.int64()))
 
     _int64 = {pa.int64(): pd.Int64Dtype(), pa.int32(): pd.Int64Dtype()}
 
@@ -532,11 +482,11 @@ def lag_shift(ds, key_col: str, ts_col: str, tie_col: str,
             shifted = grp.shift(k)
             for c in cols:
                 df[f"{c}{name}"] = shifted[c]
-        return df.drop(columns=["__pb"])
+        return df
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
-        .groupby("__pb").map_groups(shift_part, batch_format="pyarrow")
+    return partition_fold(ds, [key_col], shift_part, n_parts=n_parts,
+                          shuffle_blocks=shuffle_blocks,
+                          batch_format="pyarrow")
 
 
 def suppress_bursts(ds, key_col: str, ts_col: str, tie_col: str,
@@ -551,18 +501,9 @@ def suppress_bursts(ds, key_col: str, ts_col: str, tie_col: str,
     semantics stay one-pass/vectorizable and SQL-expressible. ``ts_col``
     must be integer (epoch-µs); comparisons are exact int64.
 
-    Scale shape: the lag_shift single-shuffle pattern (one
-    hash64(key) % n_parts row shuffle, one vectorized sort +
-    groupby.shift + int compare per partition); ``shuffle_blocks``
-    bounds the groupby's input block count (round-5 pathology)."""
-    from prompture_ray.functions.sketches import hash64
-
-    def tag(t: pa.Table) -> pa.Table:
-        kv = t[key_col].to_numpy(zero_copy_only=False)
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        pb = (hash64(kv) % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb, type=pa.int64()))
+    Scale shape: one ``shuffle.partition_fold`` on the key, one
+    vectorized sort + groupby.shift + int compare per partition;
+    ``shuffle_blocks`` bounds the groupby's input block count."""
 
     _int64 = {pa.int64(): pd.Int64Dtype(), pa.int32(): pd.Int64Dtype()}
 
@@ -580,11 +521,11 @@ def suppress_bursts(ds, key_col: str, ts_col: str, tie_col: str,
             # the nullable shift is exact here
             gap_ok[~first] = (ts[~first] - pv[~first].astype(np.int64)
                               ) >= int(min_gap)
-        return df[first | gap_ok].drop(columns=["__pb"])
+        return df[first | gap_ok]
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
-        .groupby("__pb").map_groups(keep_part, batch_format="pyarrow")
+    return partition_fold(ds, [key_col], keep_part, n_parts=n_parts,
+                          shuffle_blocks=shuffle_blocks,
+                          batch_format="pyarrow")
 
 
 def time_weighted_avg(ds, key_col: str, ts_col: str, tie_col: str,
@@ -603,17 +544,9 @@ def time_weighted_avg(ds, key_col: str, ts_col: str, tie_col: str,
     ``twa`` is ONE correctly-rounded double division — a SQL replay
     (lead() window + SUM) is bit-identical with no rounding.
 
-    Scale shape: the lag_shift pattern — ONE hash64(key) % n_parts row
-    shuffle, one vectorized sort + boundary-masked diff pass per
-    partition; never a frame per key, no driver state."""
-    from prompture_ray.functions.sketches import hash64
-
-    def tag(t: pa.Table) -> pa.Table:
-        kv = t[key_col].to_numpy(zero_copy_only=False)
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        pb = (hash64(kv) % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb, type=pa.int64()))
+    Scale shape: one ``shuffle.partition_fold`` on the key, one
+    vectorized sort + boundary-masked diff pass per partition; never a
+    frame per key, no driver state."""
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, tie_col], kind="mergesort")
@@ -635,9 +568,8 @@ def time_weighted_avg(ds, key_col: str, ts_col: str, tie_col: str,
                              "num": num, "den": den,
                              "twa": num / den})
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
-        .groupby("__pb").map_groups(fold, batch_format="pandas")
+    return partition_fold(ds, [key_col], fold, n_parts=n_parts,
+                          shuffle_blocks=shuffle_blocks)
 
 
 def rolling_anomaly(ds, key_col: str, ts_col: str, tie_col: str,
@@ -659,44 +591,36 @@ def rolling_anomaly(ds, key_col: str, ts_col: str, tie_col: str,
     telemetry/score columns satisfy both by miles; a SQL window-frame
     replay is then bit-identical with NO float anywhere.
 
-    Scale shape: the lag_shift pattern — ONE hash64(key) % n_parts row
-    shuffle, one vectorized sort + groupby-rolling pass per
-    partition."""
-    from prompture_ray.functions.sketches import hash64
-
-    def tag(t: pa.Table) -> pa.Table:
-        kv = t[key_col].to_numpy(zero_copy_only=False)
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        pb = (hash64(kv) % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb, type=pa.int64()))
+    Scale shape: one ``shuffle.partition_fold`` on the key, one
+    vectorized sort + groupby-rolling pass per partition."""
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, tie_col],
                           kind="mergesort").reset_index(drop=True)
         v = g[val_col].to_numpy().astype(np.int64)
-        grp = g.groupby(key_col, sort=False)[val_col]
+        # dropna=False: null-key rows form one group (SQL's NULL
+        # partition) instead of vanishing from the rolling output
+        grp = g.groupby(key_col, sort=False, dropna=False)[val_col]
         roll = grp.rolling(window=window, min_periods=1)
         s = roll.sum().reset_index(level=0, drop=True) \
             .sort_index().to_numpy().astype(np.int64)
         n = roll.count().reset_index(level=0, drop=True) \
             .sort_index().to_numpy().astype(np.int64)
-        g2 = g.assign(__v2=v * v).groupby(key_col, sort=False)["__v2"]
+        g2 = g.assign(__v2=v * v).groupby(key_col, sort=False,
+                                          dropna=False)["__v2"]
         s2 = g2.rolling(window=window, min_periods=1).sum() \
             .reset_index(level=0, drop=True) \
             .sort_index().to_numpy().astype(np.int64)
         lhs = n * v - s
         flag = (lhs * lhs > k * k * (n * s2 - s * s)) & (n >= min_n)
-        out = g.drop(columns=["__pb"])
-        out["n_win"] = n
-        out["s_win"] = s
-        out["s2_win"] = s2
-        out["is_anomaly"] = flag
-        return out
+        g["n_win"] = n
+        g["s_win"] = s
+        g["s2_win"] = s2
+        g["is_anomaly"] = flag
+        return g
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
-        .groupby("__pb").map_groups(fold, batch_format="pandas")
+    return partition_fold(ds, [key_col], fold, n_parts=n_parts,
+                          shuffle_blocks=shuffle_blocks)
 
 
 def cusum_flags(ds, key_col: str, ts_col: str, tie_col: str,
@@ -721,18 +645,10 @@ def cusum_flags(ds, key_col: str, ts_col: str, tie_col: str,
     stream); this is that walk as a distributed analytic with the
     max-recursion algebraically removed.
 
-    Scale shape: the lag_shift pattern — ONE hash64(key) % n_parts row
-    shuffle (a key's whole history lands in one partition), one
-    vectorized sort + grouped cumsum/cummin pandas pass per partition;
-    ``shuffle_blocks`` bounds the groupby's input block count."""
-    from prompture_ray.functions.sketches import hash64
-
-    def tag(t: pa.Table) -> pa.Table:
-        kv = t[key_col].to_numpy(zero_copy_only=False)
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        pb = (hash64(kv) % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb, type=pa.int64()))
+    Scale shape: one ``shuffle.partition_fold`` on the key (a key's
+    whole history lands in one partition), one vectorized sort +
+    grouped cumsum/cummin pandas pass per partition; ``shuffle_blocks``
+    bounds the groupby's input block count."""
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, tie_col],
@@ -743,14 +659,12 @@ def cusum_flags(ds, key_col: str, ts_col: str, tie_col: str,
         m = g.assign(__p=p).groupby(key_col, sort=False)["__p"] \
             .cummin().to_numpy().astype(np.int64)
         s = p - np.minimum(m, 0)
-        out = g.drop(columns=["__pb"])
-        out["cusum"] = s
-        out["is_shift"] = s > int(threshold_h)
-        return out
+        g["cusum"] = s
+        g["is_shift"] = s > int(threshold_h)
+        return g
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
-        .groupby("__pb").map_groups(fold, batch_format="pandas")
+    return partition_fold(ds, [key_col], fold, n_parts=n_parts,
+                          shuffle_blocks=shuffle_blocks)
 
 
 def fir_smooth(ds, key_col: str, ts_col: str, tie_col: str,
@@ -820,20 +734,11 @@ def ntile_by_key(ds, key_col: str, order_col: str, n_tiles: int,
     (plant a unique tie-breaker otherwise) — NTILE over ties is
     tie-order-dependent and not oracle-checkable. Appends ``tile``.
 
-    Scale shape: the lag_shift pattern — one hash64(key) % n_parts row
-    shuffle, one vectorized sort + grouped cumcount/size pass per
-    partition."""
-    from prompture_ray.functions.sketches import hash64
+    Scale shape: one ``shuffle.partition_fold`` on the key, one
+    vectorized sort + grouped cumcount/size pass per partition."""
     k = int(n_tiles)
     if k < 1:
         raise ValueError("ntile_by_key: n_tiles must be >= 1")
-
-    def tag(t: pa.Table) -> pa.Table:
-        kv = t[key_col].to_numpy(zero_copy_only=False)
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        pb = (hash64(kv) % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb, type=pa.int64()))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, order_col],
@@ -847,13 +752,11 @@ def ntile_by_key(ds, key_col: str, order_col: str, n_tiles: int,
         tile = np.where(
             head, (rn - 1) // np.maximum(q + 1, 1) + 1,
             r + (rn - 1 - r * (q + 1)) // np.maximum(q, 1) + 1)
-        out = g.drop(columns=["__pb"])
-        out["tile"] = tile.astype(np.int64)
-        return out
+        g["tile"] = tile.astype(np.int64)
+        return g
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
-        .groupby("__pb").map_groups(fold, batch_format="pandas")
+    return partition_fold(ds, [key_col], fold, n_parts=n_parts,
+                          shuffle_blocks=shuffle_blocks)
 
 
 def max_drawdown_by_key(ds, key_col: str, ts_col: str, tie_col: str,
@@ -867,17 +770,9 @@ def max_drawdown_by_key(ds, key_col: str, ts_col: str, tie_col: str,
     SUM/MAX windows. Returns one row per key: (key, max_drawdown,
     n). Keys with one row get 0.
 
-    Scale shape: the lag_shift pattern — ONE hash64(key) % n_parts
-    row shuffle, one vectorized sort + grouped cumsum/cummax pass per
-    partition; output is |keys| rows."""
-    from prompture_ray.functions.sketches import hash64
-
-    def tag(t: pa.Table) -> pa.Table:
-        kv = t[key_col].to_numpy(zero_copy_only=False)
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        pb = (hash64(kv) % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb, type=pa.int64()))
+    Scale shape: one ``shuffle.partition_fold`` on the key, one
+    vectorized sort + grouped cumsum/cummax pass per partition; output
+    is |keys| rows."""
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, tie_col],
@@ -891,11 +786,10 @@ def max_drawdown_by_key(ds, key_col: str, ts_col: str, tie_col: str,
             .max().rename("max_drawdown").reset_index()
         out["n"] = grp.size().to_numpy().astype(np.int64)
         out["max_drawdown"] = out["max_drawdown"].astype("int64")
-        return out.drop(columns=["__pb"], errors="ignore")
+        return out
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
-        .groupby("__pb").map_groups(fold, batch_format="pandas")
+    return partition_fold(ds, [key_col], fold, n_parts=n_parts,
+                          shuffle_blocks=shuffle_blocks)
 
 
 def unpivot(ds, id_cols: list, value_cols: list,
@@ -945,17 +839,9 @@ def longest_streak(ds, key_col: str, ts_col: str, tie_col: str,
     equal-length runs break toward the EARLIEST run (deterministic,
     SQL-replayable via min-island-start ordering). Pure integer.
 
-    Scale shape: the lag_shift pattern — ONE hash64(key) % n_parts
-    row shuffle, one vectorized sort + boundary-cumsum pandas pass
-    per partition; output is |keys| rows."""
-    from prompture_ray.functions.sketches import hash64
-
-    def tag(t: pa.Table) -> pa.Table:
-        kv = t[key_col].to_numpy(zero_copy_only=False)
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        pb = (hash64(kv) % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb, type=pa.int64()))
+    Scale shape: one ``shuffle.partition_fold`` on the key, one
+    vectorized sort + boundary-cumsum pandas pass per partition; output
+    is |keys| rows."""
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, tie_col],
@@ -986,6 +872,5 @@ def longest_streak(ds, key_col: str, ts_col: str, tie_col: str,
             "streak_val": vals[run_start[best]]})
         return out
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
-        .groupby("__pb").map_groups(fold, batch_format="pandas")
+    return partition_fold(ds, [key_col], fold, n_parts=n_parts,
+                          shuffle_blocks=shuffle_blocks)

@@ -651,15 +651,17 @@ def _hits_broadcast(e, nodes, n: int, k: int, target_blocks: int):
             g = t[group_col].to_numpy(zero_copy_only=False)
             v = sv[np.searchsorted(na, j)]
             # partial sums INDEXED into the node order — the final fold
-            # is then one bincount per batch on the driver; a grouped
+            # is then one int64 add per batch on the driver; a grouped
             # aggregate over ~|nodes| distinct keys measured ~100×
             # slower than this shape (the round-5 pathology, extended:
-            # Ray grouped aggregates degrade with distinct-group count)
+            # Ray grouped aggregates degrade with distinct-group count).
+            # int64 accumulator: bincount weights sum in float64 and
+            # round scores above 2^53
             idx = np.searchsorted(na, g)
-            s = np.bincount(idx, weights=v, minlength=len(na))
+            s = np.zeros(len(na), dtype=np.int64)
+            np.add.at(s, idx, v)
             keep = np.flatnonzero(s)
-            return pd.DataFrame({"i": keep,
-                                 "v": s[keep].astype(np.int64)})
+            return pd.DataFrame({"i": keep, "v": s[keep]})
 
         out = np.zeros(n, dtype=np.int64)
         for b in e.map_batches(contrib, batch_format="pyarrow") \
@@ -783,7 +785,16 @@ def negative_edges(edges, k: int, a_col: str = "src",
     import ray
     from ray.data.aggregate import Count
 
+    def _guard(count: int, what: str):
+        if count > broadcast_max:
+            raise ValueError(
+                f"negative_edges: {count} {what} exceed "
+                f"broadcast_max={broadcast_max}; for larger graphs test "
+                "membership with joins.bloom_semi_filter(exact=False) "
+                "and a bucketed anti-join")
+
     ded = canonical_edges(edges, a_col, b_col).materialize()
+    _guard(ded.count(), "distinct edges")
 
     def both(t: pa.Table) -> pa.Table:
         ids = np.unique(np.concatenate([
@@ -796,10 +807,7 @@ def negative_edges(edges, k: int, a_col: str = "src",
         .map_batches(lambda t: t.select(["node"]),
                      batch_format="pyarrow").materialize()
     n = nodes.count()
-    if n > broadcast_max:
-        raise ValueError(
-            f"negative_edges: {n} nodes exceed "
-            f"broadcast_max={broadcast_max}")
+    _guard(n, "nodes")
     nt = pa.concat_tables(
         [b for b in nodes.iter_batches(batch_format="pyarrow")],
         promote_options="default")

@@ -37,6 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from prompture_ray.functions.sketches import hash_arrow_column
+from prompture_ray.stages.shuffle import partition_fold
 
 
 def group_prior(ds, key_col: str, val_col: str,
@@ -178,27 +179,18 @@ def grouped_outliers(ds, key_col: str, val_col: str, k: int = 3,
       (exact in a double for int inputs < 2^52, doubled and cast back)
       is bit-identical by construction.
 
-    ``val_col`` must be integer. Scale shape: ONE hash64(key) % n_parts
-    row shuffle (every key whole in one partition — the
-    userpath/forward_fill pattern), then one vectorized numpy pass per
-    partition: lexsort by (key, val) -> middle order statistics per
-    group via offset arithmetic, second lexsort by (key, d) for the MAD
+    ``val_col`` must be integer. Scale shape: one
+    ``shuffle.partition_fold`` on the key (every key whole in one
+    partition), then one vectorized numpy pass per partition: lexsort
+    by (key, val) -> middle order statistics per group via offset
+    arithmetic, second lexsort by (key, d) for the MAD
     — never a frame per key, no driver state. ``shuffle_blocks`` bounds
     the groupby's input block count (round-5 pathology: groupby sort
     cost follows INPUT blocks); size ≈ rows / 500k beyond ~64M rows."""
-    from prompture_ray.functions.sketches import hash64
 
     k = int(k)
 
-    def tag(t: pa.Table) -> pa.Table:
-        kv = t[key_col].to_numpy(zero_copy_only=False)
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        pb = (hash64(kv) % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb, type=pa.int64()))
-
     def flag_part(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__pb"])
         n = g.num_rows
         if n == 0:
             return g.append_column("m2", pa.array([], type=pa.int64())) \
@@ -238,9 +230,9 @@ def grouped_outliers(ds, key_col: str, val_col: str, k: int = 3,
             .append_column("mad4", pa.array(mad4, type=pa.int64())) \
             .append_column("is_outlier", pa.array(flag, type=pa.bool_()))
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
-        .groupby("__pb").map_groups(flag_part, batch_format="pyarrow")
+    return partition_fold(ds, [key_col], flag_part, n_parts=n_parts,
+                          shuffle_blocks=shuffle_blocks,
+                          batch_format="pyarrow")
 
 
 def group_diversity(ds, key_col: str, val_col: str,
@@ -320,12 +312,11 @@ def grouped_quantiles(ds, key_col: str, val_col: str,
     the float — p25/p50/p75/p90/p99 all qualify); validated up
     front.
 
-    Scale shape: ONE hash64(key) % n_parts row shuffle (keys land
-    whole — the lag_shift pattern), one vectorized sort +
-    searchsorted-free reduceat selection per partition; never a frame
+    Scale shape: one ``shuffle.partition_fold`` on the key (keys land
+    whole), one vectorized sort + searchsorted-free reduceat selection
+    per partition; never a frame
     per key. A single pathologically hot key bounds a partition."""
     from fractions import Fraction
-    from prompture_ray.functions.sketches import hash64
 
     fr = [Fraction(q).limit_denominator(10_000) for q in qs]
     for q, f in zip(qs, fr):
@@ -334,15 +325,10 @@ def grouped_quantiles(ds, key_col: str, val_col: str,
                              "small exact rational")
     names = [f"q_{int(round(float(q) * 100))}" for q in qs]
 
-    def tag(t: pa.Table) -> pa.Table:
-        kv = t[key_col].to_numpy(zero_copy_only=False)
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        pb = (hash64(kv) % np.uint64(n_parts)).astype(np.int64)
+    def project(t: pa.Table) -> pa.Table:
         return pa.table({key_col: t[key_col],
                          val_col: t[val_col].combine_chunks()
-                         .cast(pa.int64()),
-                         "__pb": pa.array(pb, type=pa.int64())})
+                         .cast(pa.int64())})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, val_col], kind="mergesort")
@@ -362,9 +348,9 @@ def grouped_quantiles(ds, key_col: str, val_col: str,
             out[nm] = v[first + ranks - 1]
         return pd.DataFrame(out)
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
-        .groupby("__pb").map_groups(fold, batch_format="pandas")
+    return partition_fold(ds.map_batches(project, batch_format="pyarrow"),
+                          [key_col], fold, n_parts=n_parts,
+                          shuffle_blocks=shuffle_blocks)
 
 
 def winsorize_by_key(ds, key_col: str, val_col: str,
@@ -463,7 +449,6 @@ def grouped_weighted_quantiles(ds, key_col: str, val_col: str,
     hash(key) partitions (the grouped_quantiles pattern)."""
     from fractions import Fraction
     from ray.data.aggregate import Sum
-    from prompture_ray.functions.sketches import hash64
 
     fr = [Fraction(q).limit_denominator(10_000) for q in qs]
     for q, f in zip(qs, fr):
@@ -485,13 +470,6 @@ def grouped_weighted_quantiles(ds, key_col: str, val_col: str,
         .repartition(shuffle_blocks) \
         .groupby([key_col, val_col]).aggregate(Sum("__w",
                                                alias_name="__w"))
-
-    def tag(t: pa.Table) -> pa.Table:
-        kv = t[key_col].to_numpy(zero_copy_only=False)
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        pb = (hash64(kv) % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb, type=pa.int64()))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, val_col], kind="mergesort")
@@ -523,8 +501,7 @@ def grouped_weighted_quantiles(ds, key_col: str, val_col: str,
             out[nm] = v[first_ok]
         return pd.DataFrame(out)
 
-    return pairs.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(fold, batch_format="pandas")
+    return partition_fold(pairs, [key_col], fold, n_parts=n_parts)
 
 
 def gini_by_key(ds, key_col: str, val_col: str, n_parts: int = 64):
@@ -543,7 +520,7 @@ def gini_by_key(ds, key_col: str, val_col: str, n_parts: int = 64):
     the oracle, no rounding. Keys with n·Σx = 0 get null.
 
     Scale shape: each batch shrinks to (key, value, count) partial
-    cells, tagged hash64(key) % n_parts; ONE grouped partition pass
+    cells, folded by ``shuffle.partition_fold`` on the key; ONE pass
     then (a) pandas-groupby-sums the partials into the global distinct
     cell table (every key lands wholly in one partition) and (b) runs
     a single vectorized sort + segmented cumsum computing every key's
@@ -551,16 +528,11 @@ def gini_by_key(ds, key_col: str, val_col: str, n_parts: int = 64):
     total — NEVER a Ray grouped aggregate over the |cells| distinct
     keys (measured ~100× slower beyond ~1M distinct groups); no driver
     state; output is |keys| rows."""
-    from prompture_ray.functions.sketches import hash64
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         g = b.groupby([key_col, val_col], sort=False) \
             .size().rename("c").reset_index()
         g["c"] = g["c"].astype("int64")
-        kv = g[key_col].to_numpy()
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        g["__pb"] = (hash64(kv) % np.uint64(n_parts)).astype(np.int64)
         return g
 
     cells = ds.map_batches(partial, batch_format="pandas")
@@ -598,8 +570,7 @@ def gini_by_key(ds, key_col: str, val_col: str, n_parts: int = 64):
         out.loc[den <= 0, "gini"] = np.nan
         return out
 
-    return cells.groupby("__pb").map_groups(fold,
-                                            batch_format="pandas")
+    return partition_fold(cells, [key_col], fold, n_parts=n_parts)
 
 
 def impute_group_median(ds, key_col: str, val_col: str,

@@ -20,8 +20,8 @@ per grid step between the key's min and max observed step with exact
 zero-filled counts — ``unnest(generate_series(...))`` in SQL.
 
 Scale shape (both): per-batch map-side shrink (coverage: rows project
-to 32-byte (key-hash-bucket, s, e) rows; gap_fill: per-batch partial
-counts), then ONE ``hash64(key) % P`` partition shuffle so every key
+to (key, s, e) rows; gap_fill: per-batch partial
+counts), then ONE ``shuffle.partition_fold`` on the key so every key
 lands wholly in one bounded frame, then a single VECTORIZED pass per
 partition handles all keys at once (the repo rule: never a frame per
 key). ``P`` auto-sizes from the row count; groupby input blocks are
@@ -38,20 +38,13 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from prompture_ray.functions.sketches import hash_arrow_column
+from prompture_ray.stages.shuffle import partition_fold
 
 TARGET_ROWS_PER_PART = 5_000_000
 
 
 def _n_parts(ds, target: int = TARGET_ROWS_PER_PART) -> int:
     return max(64, int(np.ceil(ds.count() / target)))
-
-
-def _pb(col, n_parts: int) -> pa.Array:
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    h = hash_arrow_column(col)
-    return pa.array((h % np.uint64(n_parts)).astype(np.int64))
 
 
 def interval_coverage(ds, key_col: str, start_col: str, end_col: str,
@@ -67,9 +60,8 @@ def interval_coverage(ds, key_col: str, start_col: str, end_col: str,
         s = pc.cast(t[start_col], pa.int64())
         e = pc.cast(t[end_col], pa.int64())
         keep = pc.greater(e, s)
-        t2 = pa.table({key_col: t[key_col], "__s": s, "__e": e}) \
+        return pa.table({key_col: t[key_col], "__s": s, "__e": e}) \
             .filter(keep)
-        return t2.append_column("__pb", _pb(t2[key_col], nparts))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, "__s", "__e"], kind="mergesort")
@@ -97,8 +89,8 @@ def interval_coverage(ds, key_col: str, start_col: str, end_col: str,
             "n_islands": out["count"].astype("int64"),
             "covered": out["sum"].astype("int64")})
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(fold, batch_format="pandas")
+    return partition_fold(ds.map_batches(tag, batch_format="pyarrow"),
+                          [key_col], fold, n_parts=nparts)
 
 
 def gap_fill(ds, key_col: str, step_col: str, *,
@@ -112,7 +104,7 @@ def gap_fill(ds, key_col: str, step_col: str, *,
     unbounded feed is a caller bug, not something to silently emit).
 
     Scale shape: per-batch Arrow partial counts (≤ keys × steps rows
-    per batch) → ONE hash-partition shuffle of 24-byte partial rows →
+    per batch) → ONE ``shuffle.partition_fold`` of the partial rows →
     one vectorized expansion pass per partition (repeat/arange over all
     keys at once + searchsorted merge of the observed counts)."""
     nparts = n_parts or _n_parts(ds)
@@ -120,11 +112,10 @@ def gap_fill(ds, key_col: str, step_col: str, *,
     def partial(t: pa.Table) -> pa.Table:
         g = t.select([key_col, step_col]).group_by(
             [key_col, step_col]).aggregate([([], "count_all")])
-        t2 = pa.table({
+        return pa.table({
             key_col: g[key_col],
             "__h": g[step_col].cast(pa.int64()),
             "__n": g["count_all"].cast(pa.int64())})
-        return t2.append_column("__pb", _pb(t2[key_col], nparts))
 
     def expand(g: pd.DataFrame) -> pd.DataFrame:
         # fold batch partials to global (key, step) counts first
@@ -134,6 +125,8 @@ def gap_fill(ds, key_col: str, step_col: str, *,
         k = g[key_col].to_numpy()
         h = g["__h"].to_numpy()
         n = g["__n"].to_numpy()
+        if not len(k):   # the null-key partition: groupby drops nulls
+            return pd.DataFrame({key_col: k, step_col: h, "n": n})
         first = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
         last = np.r_[first[1:] - 1, len(k) - 1]
         spans = h[last] - h[first] + 1
@@ -160,5 +153,5 @@ def gap_fill(ds, key_col: str, step_col: str, *,
             step_col: grid_h,
             "n": dense})
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(expand, batch_format="pandas")
+    return partition_fold(ds.map_batches(partial, batch_format="pyarrow"),
+                          [key_col], expand, n_parts=nparts)

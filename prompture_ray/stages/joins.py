@@ -18,49 +18,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def _canon_key(v: np.ndarray, ctx: str) -> np.ndarray:
-    """Canonicalize a join-key array before hashing so the two sides of a
-    bucketed join hash EQUAL keys identically even when they materialize
-    to different numpy dtypes (an int64 side with nulls becomes float64 /
-    object — hash64(int64) != hash64(object), the repo's round-2 rule).
-    Integers and integral floats → int64; real floats → float64;
-    datetimes → microsecond int64; strings/objects → str objects.
-    Null keys are rejected: a null never equi-matches, so callers must
-    drop null-key rows first."""
-    kind = v.dtype.kind
-    if kind in "iu":
-        return v.astype(np.int64, copy=False)
-    if kind == "b":
-        return v.astype(np.int64)
-    if kind == "f":
-        if np.isnan(v).any():
-            raise ValueError(f"{ctx}: null join keys are not supported — "
-                             "filter null-key rows before the join")
-        iv = v.astype(np.int64)
-        if (iv == v).all():
-            return iv
-        return v.astype(np.float64, copy=False)
-    if kind in "mM":
-        return v.astype("datetime64[us]").astype(np.int64)
-    if kind == "U":
-        return v.astype(object)
-    # object: all-int → int64 (matches an int64 other side); else str
-    if kind == "O":
-        if any(x is None for x in v):
-            raise ValueError(f"{ctx}: null join keys are not supported — "
-                             "filter null-key rows before the join")
-        try:
-            return v.astype(np.int64)
-        except (TypeError, ValueError, OverflowError):
-            return np.asarray([str(x) for x in v], dtype=object)
-    return v
-
-
-def _bucket_of(series: "pd.Series", n_buckets: int, ctx: str) -> np.ndarray:
-    from prompture_ray.functions.sketches import hash64
-    h = hash64(_canon_key(series.to_numpy(), ctx))
-    return (h % np.uint64(n_buckets)).astype(np.int64)
+from prompture_ray.stages.shuffle import partition_ids
 
 
 def _empty_frame(schema, cols: list) -> pd.DataFrame:
@@ -93,8 +51,13 @@ def _arrow_tag(side_val: int, k: str, cols: list, n_buckets: int, ctx: str):
     arrow form."""
     def fn(t: pa.Table) -> pa.Table:
         t = t.select(cols)
-        b = _bucket_of(t[k].to_pandas(), n_buckets, ctx)
-        t = t.append_column("__bucket", pa.array(b, type=pa.int64()))
+        # a null never equi-matches: callers drop null-key rows first
+        if pc.any(pc.is_null(t[k], nan_is_null=True)).as_py():
+            raise ValueError(f"{ctx}: null join keys are not supported — "
+                             "filter null-key rows before the join")
+        # shuffle.partition_ids buckets equal keys together even when the
+        # sides carry different dtypes (int64 vs integral float64)
+        t = t.append_column("__bucket", partition_ids(t, [k], n_buckets))
         return t.append_column("__side", pa.array(
             np.full(t.num_rows, side_val, dtype=np.int64)))
     return fn

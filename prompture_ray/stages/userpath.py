@@ -7,9 +7,9 @@ buffered event walk, first/last-seen accounting); these are the two
 standard sequence rollups a web-scale event table needs that plain
 groupby can't express.
 
-Scale shape (both operators): ONE hash-partition shuffle — rows are
-tagged ``hash64(user) % P`` so every user's history lands wholly inside
-one bounded group frame, then a single VECTORIZED pandas pass inside
+Scale shape (both operators): ONE ``shuffle.partition_fold`` on the
+user id, so every user's history lands wholly inside one bounded group
+frame, then a single VECTORIZED pandas pass inside
 the frame handles all users of the partition at once (the repo rule:
 never a frame per key). ``P`` is auto-sized from the row count so a
 frame stays ~``target_rows``; partial rows are pre-shrunk map-side
@@ -24,6 +24,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from prompture_ray.stages.shuffle import partition_fold
+
 TARGET_ROWS_PER_PART = 5_000_000
 
 
@@ -31,15 +33,6 @@ def _n_parts(ds, target: int) -> int:
     # count() on a projected parquet read is metadata-cheap; bound the
     # per-frame row count without materializing anything.
     return max(64, int(np.ceil(ds.count() / target)))
-
-
-def _pb_column(user: pa.Array | pa.ChunkedArray, n_parts: int) -> pa.Array:
-    from prompture_ray.functions.sketches import hash64
-    if isinstance(user, pa.ChunkedArray):
-        user = user.combine_chunks()
-    u = user.to_numpy(zero_copy_only=False).astype(np.int64)
-    pb = hash64(u) % np.uint64(n_parts)
-    return pa.array(pb.astype(np.int64))
 
 
 def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
@@ -69,7 +62,6 @@ def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
             "u": pc.cast(t2[user_col], pa.int64()),
             "ts": us,
             "k": idx,
-            "__pb": _pb_column(t2[user_col], nparts),
         })
 
     def chain(g: pd.DataFrame) -> pd.DataFrame:
@@ -89,8 +81,8 @@ def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
                                                dtype=np.int64),
                              "users": users})
 
-    partials = ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(chain, batch_format="pandas")
+    partials = partition_fold(ds.map_batches(tag, batch_format="pyarrow"),
+                              ["u"], chain, n_parts=nparts)
     out = partials.groupby("step") \
         .aggregate(Sum("users", alias_name="users"))
 
@@ -131,8 +123,7 @@ def retention_cohorts(ds, user_col: str, ts_col: str,
                 zero_copy_only=False),
             "day": day.to_numpy(zero_copy_only=False),
         }).drop_duplicates()
-        t2 = pa.Table.from_pandas(b, preserve_index=False)
-        return t2.append_column("__pb", _pb_column(t2["u"], nparts))
+        return pa.Table.from_pandas(b, preserve_index=False)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["u", "day"])
@@ -144,8 +135,8 @@ def retention_cohorts(ds, user_col: str, ts_col: str,
         out["users"] = out["users"].astype("int64")
         return out
 
-    partials = ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(fold, batch_format="pandas")
+    partials = partition_fold(ds.map_batches(tag, batch_format="pyarrow"),
+                              ["u"], fold, n_parts=nparts)
     return partials.groupby(["cohort_day", "day_offset"]) \
         .aggregate(Sum("users", alias_name="users"))
 
@@ -166,8 +157,8 @@ def transition_counts(ds, user_col: str, ts_col: str, tie_col: str,
     predecessor; this is that adjacent-pair primitive folded into
     corpus statistics.
 
-    Scale shape: the lag_shift pattern (ONE hash64(user) % n_parts row
-    shuffle, vectorized grouped shift per partition) emits only the
+    Scale shape: ``lag_shift`` (one ``shuffle.partition_fold`` on the
+    user, vectorized grouped shift per partition) emits only the
     bounded (from, to) pair partials; the |types|²-sized count table
     takes one narrow grouped shuffle, and the per-from totals are a
     second grouped fold of that TINY table (never a re-scan of the

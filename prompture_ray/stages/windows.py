@@ -19,6 +19,35 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from prompture_ray.stages.shuffle import partition_fold
+
+
+# hash partitions of the (key, bucket) cells in the bucketed forms
+_CELL_PARTS = 64
+
+
+def _cell_tagger(key_col: str, ts_col: str,
+                 bucket: "pd.Timedelta | str", with_kb: bool):
+    """map_batches fn appending ``__bucket`` (``ts_col`` floored to
+    ``bucket``, int64 µs) and, with ``with_kb``, the ``__kb``
+    ``"key|bucket"`` cell id an offset join matches on. A null key has
+    no cell id to join on, so ``with_kb`` drops null-key rows (the
+    plain forms group them)."""
+    bucket_us = int(pd.Timedelta(bucket).total_seconds() * 1e6)
+
+    def tag(t: pa.Table) -> pa.Table:
+        if with_kb and t[key_col].null_count:
+            t = t.filter(pc.is_valid(t[key_col]))
+        us = pc.cast(pc.cast(t[ts_col], pa.timestamp("us")), pa.int64())
+        b = pc.multiply(pc.divide(us, bucket_us), bucket_us)
+        t = t.append_column("__bucket", b)
+        if with_kb:
+            t = t.append_column("__kb", pc.binary_join_element_wise(
+                pc.cast(t[key_col], pa.string()), pc.cast(b, pa.string()),
+                "|"))
+        return t
+    return tag
+
 
 def tumbling_window(ds, ts_col: str, keys: list[str], unit: str = "hour",
                     agg_col: str | None = None):
@@ -100,8 +129,8 @@ def running_aggregate_bucketed(ds, key_col: str, ts_col: str,
     holds one key's entire history in a single pandas group. This form
     bounds group size by (key × coarse time bucket):
 
-    phase 1 — groupby a hash PARTITION of (key, bucket) (bounded frames,
-    ~thousands of (key, bucket) cells per frame) and compute every
+    phase 1 — ``shuffle.partition_fold`` on (key, bucket) (bounded
+    frames, ~thousands of (key, bucket) cells per frame) and compute every
     cell's local cumsum with ONE vectorized pandas groupby-cumsum — no
     frame-per-cell overhead (the naive groupby((key, bucket)) form paid
     a pandas frame per tiny cell and was ~10× slower);
@@ -114,7 +143,8 @@ def running_aggregate_bucketed(ds, key_col: str, ts_col: str,
 
     Ties within (key, ts) accumulate in input order inside a bucket like
     the plain form. Equality against ``running_aggregate`` is pinned by
-    test; the oracle is a SQL window cumsum.
+    test; the oracle is a SQL window cumsum. Null-key rows are dropped:
+    they have no (key, bucket) id for the phase-3 join.
 
     Block-count hazard (round-5): the phase-1 groupby and the phase-3
     join inherit the INPUT's block count — a 1500-block input made a
@@ -123,41 +153,19 @@ def running_aggregate_bucketed(ds, key_col: str, ts_col: str,
     max(64, rows/500k))`` — see ``analytic.global_row_number``)."""
     from ray.data.aggregate import Sum
     from prompture_ray.stages.joins import bucketed_equi_join
-    from prompture_ray.functions.sketches import hash64
-    bucket_td = pd.Timedelta(bucket)
-    bucket_us = int(bucket_td.total_seconds() * 1e6)
-    N_PARTS = 64
-
-    def tag(t: pa.Table) -> pa.Table:
-        ts = t[ts_col]
-        if isinstance(ts, pa.ChunkedArray):
-            ts = ts.combine_chunks()
-        us = pc.cast(pc.cast(ts, pa.timestamp("us")), pa.int64())
-        b = pc.multiply(pc.divide(us, bucket_us), bucket_us)
-        t = t.append_column("__bucket", b)
-        key = t[key_col]
-        if isinstance(key, pa.ChunkedArray):
-            key = key.combine_chunks()
-        kb = pc.binary_join_element_wise(
-            pc.cast(key, pa.string()), pc.cast(b, pa.string()), "|")
-        t = t.append_column("__kb", kb)
-        pb = hash64(np.asarray(kb.to_pylist(), dtype=object)) \
-            % np.uint64(N_PARTS)
-        return t.append_column("__pb", pa.array(pb.astype(np.int64)))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
+    tagged = ds.map_batches(_cell_tagger(key_col, ts_col, bucket, True),
+                            batch_format="pyarrow")
 
     def local(g: pd.DataFrame) -> pd.DataFrame:
         # ONE vectorized pass over all (key, bucket) cells in this
         # partition: stable sort then grouped cumsum
-        g = g.sort_values([key_col, "__bucket", ts_col],
-                          kind="mergesort").copy()
+        g = g.sort_values([key_col, "__bucket", ts_col], kind="mergesort")
         g["__local_cum"] = g.groupby([key_col, "__bucket"],
                                      sort=False)[value_col].cumsum()
-        return g.drop(columns=["__pb"])
+        return g
 
-    part = tagged.groupby("__pb").map_groups(
-        local, batch_format="pandas").materialize()
+    part = partition_fold(tagged, [key_col, "__bucket"], local,
+                          n_parts=_CELL_PARTS).materialize()
 
     # phase 2: per-(key, bucket) sums — per-batch vectorized partials,
     # then one sorted aggregate over the (small) partial rows
@@ -172,7 +180,7 @@ def running_aggregate_bucketed(ds, key_col: str, ts_col: str,
     def prefix(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("__bucket", kind="mergesort").copy()
         g["__offset"] = g["__bucket_sum"].cumsum() - g["__bucket_sum"]
-        # reconstruct the combined id exactly as tag() built it
+        # reconstruct the combined id exactly as _cell_tagger built it
         g["__kb"] = (g[key_col].astype(str) + "|"
                      + g["__bucket"].astype("int64").astype(str))
         return g[["__kb", "__offset"]]
@@ -205,7 +213,7 @@ def session_windows_bucketed(ds, key_col: str, ts_col: str,
     more events than a worker's memory. This form bounds group size by
     (key × coarse time bucket):
 
-    phase 1 — groupby a hash PARTITION of (key, bucket): inside each
+    phase 1 — ``shuffle.partition_fold`` on (key, bucket): inside each
     bounded frame, ONE vectorized pandas pass sessionizes every (key,
     bucket) cell at once (new session at cell change or gap > ``gap``)
     and emits SESSION rows (one per session, not per event) — no
@@ -220,27 +228,7 @@ def session_windows_bucketed(ds, key_col: str, ts_col: str,
     the next session's start during the merge. Equality is pinned by
     test against the single-group form.
     """
-    from prompture_ray.functions.sketches import hash64
     gap_td = pd.Timedelta(gap)
-    bucket_td = pd.Timedelta(bucket)
-    bucket_us = int(bucket_td.total_seconds() * 1e6)
-    N_PARTS = 64
-
-    def tag(t: pa.Table) -> pa.Table:
-        ts = t[ts_col]
-        if isinstance(ts, pa.ChunkedArray):
-            ts = ts.combine_chunks()
-        us = pc.cast(pc.cast(ts, pa.timestamp("us")), pa.int64())
-        b = pc.multiply(pc.divide(us, bucket_us), bucket_us)
-        t = t.append_column("__bucket", b)
-        key = t[key_col]
-        if isinstance(key, pa.ChunkedArray):
-            key = key.combine_chunks()
-        kb = pc.binary_join_element_wise(
-            pc.cast(key, pa.string()), pc.cast(b, pa.string()), "|")
-        pb = hash64(np.asarray(kb.to_pylist(), dtype=object)) \
-            % np.uint64(N_PARTS)
-        return t.append_column("__pb", pa.array(pb.astype(np.int64)))
 
     def local_sessions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, "__bucket", ts_col],
@@ -256,9 +244,10 @@ def session_windows_bucketed(ds, key_col: str, ts_col: str,
             n_events=(ts_col, "size")).reset_index(drop=True)
         return out
 
-    partial = ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__pb") \
-        .map_groups(local_sessions, batch_format="pandas")
+    partial = partition_fold(
+        ds.map_batches(_cell_tagger(key_col, ts_col, bucket, False),
+                       batch_format="pyarrow"),
+        [key_col, "__bucket"], local_sessions, n_parts=_CELL_PARTS)
 
     def stitch(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("session_start", kind="mergesort")

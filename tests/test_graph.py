@@ -304,3 +304,49 @@ def test_negative_edges_deterministic_and_valid(ray_session):
         h = (np.uint64(r.src) * np.uint64(2654435761)
              + np.uint64(r.j) * np.uint64(40503)) % np.uint64(2**32)
         assert na[int(h) % len(na)] == r.dst
+
+
+def test_hits_broadcast_exact_above_2_53(ray_session):
+    import numpy as np
+    import pandas as pd
+    import ray.data as rd
+    from prompture_ray.stages.graph import hits_scores
+    rng = np.random.default_rng(71)
+    src = rng.integers(0, 30, 600)
+    dst = rng.integers(0, 30, 600)
+    nodes = sorted(set(src.tolist()) | set(dst.tolist()))
+    # Python-int reference; run rounds until a score passes 2^53
+    hub = {v: 1 for v in nodes}
+    for k in range(1, 30):
+        auth = dict.fromkeys(nodes, 0)
+        for s, d in zip(src.tolist(), dst.tolist()):
+            auth[d] += hub[s]
+        hub = dict.fromkeys(nodes, 0)
+        for s, d in zip(src.tolist(), dst.tolist()):
+            hub[s] += auth[d]
+        if max(hub.values()) > 2**53:
+            break
+    assert 2**53 < max(hub.values()) < 2**63
+    out = hits_scores(rd.from_pandas(pd.DataFrame({"src": src,
+                                                   "dst": dst}))
+                      .repartition(3), k=k).to_pandas() \
+        .sort_values("node").reset_index(drop=True)
+    assert out["node"].tolist() == nodes
+    assert [int(x) for x in out["hub"]] == [hub[v] for v in nodes]
+    assert [int(x) for x in out["auth"]] == [auth[v] for v in nodes]
+
+
+def test_negative_edges_guards_edge_broadcast(ray_session):
+    import numpy as np
+    import pandas as pd
+    import pytest
+    import ray.data as rd
+    from prompture_ray.stages.graph import negative_edges
+    rng = np.random.default_rng(59)
+    edges = pd.DataFrame({"src": rng.integers(0, 50, 200),
+                          "dst": rng.integers(0, 50, 200)})
+    # 50 nodes fit; ~180 distinct edges do not
+    with pytest.raises(ValueError, match="distinct edges exceed "
+                       "broadcast_max=60; .*bloom_semi_filter"):
+        negative_edges(rd.from_pandas(edges).repartition(4), k=3,
+                       broadcast_max=60)

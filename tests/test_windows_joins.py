@@ -383,6 +383,14 @@ def test_bucketed_equi_join_mixed_key_dtypes(ray_session):
     assert sorted(out["rv"].tolist()) == ["X", "Y"]
 
 
+def test_bucketed_equi_join_rejects_null_keys(ray_session):
+    import ray.data as rd
+    left = rd.from_arrow(pa.table({"k": pa.array([1, None], pa.int64())}))
+    right = rd.from_arrow(pa.table({"k": pa.array([1], pa.int64())}))
+    with pytest.raises(Exception, match="null join keys are not supported"):
+        j.bucketed_equi_join(left, right, key="k", n_buckets=4).to_pandas()
+
+
 def test_running_aggregate_bucketed_equals_plain(ray_session):
     import numpy as np
     import pandas as pd
