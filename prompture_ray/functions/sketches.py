@@ -39,7 +39,9 @@ def hash_arrow_column(arr) -> np.ndarray:
     object round-trip. int64 and object hashes DIFFER, so every site that
     cross-compares hashes of the same logical column (uniqueness sidecars,
     referential broadcast sides) must use THIS helper, not ad-hoc hash64
-    calls."""
+    calls. It drops nulls, so its output is not row-aligned with a
+    column that holds any: keyed lookups (a per-key table mapped back
+    onto rows) hash through ``stages.shuffle.key_hash`` instead."""
     import pyarrow as pa
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()

@@ -25,7 +25,6 @@ params — no per-row Python in the hot path.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -129,15 +128,13 @@ def url_dedup_flags(ds, url_col: str, id_col: str,
     dedups here).
 
     Shape: canonical hash per row -> grouped Min(id) (ONE narrow
-    shuffle of (8-byte hash, id) pairs). Size-aware pass 2 mirroring
-    the other tiny-side lookups: up to ``broadcast_max`` distinct URLs
-    the sorted (hash, min_id) arrays are broadcast via ``ray.put`` and
-    flagging is a pure map; beyond that, rows x mins go through the
-    hash-bucketed equi-join."""
-    import ray
+    shuffle of (8-byte hash, id) pairs). Pass 2: ``shuffle.lookup``
+    maps the per-URL minimum back onto the rows — broadcast up to
+    ``broadcast_max`` distinct URLs (flagging is a pure map), hash
+    buckets beyond."""
     from ray.data.aggregate import Min
     from prompture_ray.functions.sketches import hash64
-    from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import lookup
 
     def with_hash(t: pa.Table) -> pa.Table:
         canon = canonicalize_urls(t[url_col], **kw)
@@ -154,38 +151,14 @@ def url_dedup_flags(ds, url_col: str, id_col: str,
         .groupby("__ch").aggregate(Min("id", alias_name="min_id")) \
         .materialize()
 
-    if mins.count() <= broadcast_max:
-        hs, mids = [], []
-        for t in mins.iter_batches(batch_format="pyarrow"):
-            hs.append(t["__ch"].to_numpy(zero_copy_only=False))
-            mids.append(t["min_id"].to_numpy(zero_copy_only=False))
-        h_all = np.concatenate(hs) if hs else np.empty(0, dtype=np.int64)
-        m_all = np.concatenate(mids) if mids \
-            else np.empty(0, dtype=np.int64)
-        o = np.argsort(h_all)
-        ref = ray.put((h_all[o], m_all[o]))
+    def flag(t: pa.Table) -> pa.Table:
+        # every URL hash has its minimum by construction
+        return pa.table({"id": t["id"], "canonical_url": t["canonical_url"],
+                         "keep": pc.equal(t["id"], t["min_id"])})
 
-        def flag(t: pa.Table) -> pa.Table:
-            hs_s, mid_s = ray.get(ref)
-            h = t["__ch"].to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(hs_s, h)
-            keep = t["id"].to_numpy(zero_copy_only=False) == mid_s[idx]
-            return pa.table({"id": t["id"], "canonical_url":
-                             t["canonical_url"],
-                             "keep": pa.array(keep)})
-
-        return rows.map_batches(flag, batch_format="pyarrow")
-
-    joined = bucketed_equi_join(rows.materialize(), mins, key="__ch",
-                                n_buckets=n_buckets)
-
-    def flag_j(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "id": b["id"].astype(np.int64),
-            "canonical_url": b["canonical_url"],
-            "keep": b["id"].to_numpy() == b["min_id"].to_numpy()})
-
-    return joined.map_batches(flag_j, batch_format="pandas")
+    return lookup(rows, mins, ["__ch"], ["min_id"],
+                  broadcast_max=broadcast_max, n_buckets=n_buckets) \
+        .map_batches(flag, batch_format="pyarrow")
 
 
 def extract_hosts(arr) -> pa.Array:

@@ -35,7 +35,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from prompture_ray.stages.shuffle import partition_fold
+from prompture_ray.stages.shuffle import lookup, partition_fold
 
 
 def _plain_run(order_cols: list, value_col: str, window: int):
@@ -259,20 +259,12 @@ def percent_rank_by_key(ds, key_col: str, value_col: str,
     compressed (|keys| x |distinct values|, independent of row count).
     That table is collected once (must fit ``broadcast_max`` rows — a
     genuinely huge distinct set wants a pre-bucketing the caller can do
-    by quantizing ``value_col``), cumsum'd per key vectorized, and
-    broadcast as sorted hash arrays; every batch then looks ranks up by
-    searchsorted. Rows themselves NEVER shuffle. Identity of (key,
-    value) cells is hash-mixed (64-bit; ~n^2/2^64 collision odds)."""
+    by quantizing ``value_col``), cumsum'd per key vectorized into a
+    (key, value, pr) cell table, and ``shuffle.lookup`` maps that table
+    back onto the rows by (key, value). Rows themselves NEVER shuffle. A
+    null-key row gets a null ``out_col``."""
     import ray
     from ray.data.aggregate import Sum
-    from prompture_ray.functions.sketches import hash64
-
-    _GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-    def _comb(keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        hk = hash64(keys).astype(np.uint64)
-        hv = hash64(vals.astype(np.int64)).astype(np.uint64)
-        return ((hk * _GOLD) ^ hv).view(np.int64)
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         g = b.groupby([key_col, value_col], sort=False) \
@@ -309,26 +301,12 @@ def percent_rank_by_key(ds, key_col: str, value_col: str,
     rank = (csum - c) - seg_start_total + 1
     key_idx = np.cumsum(new_key) - 1
     n_per_key = np.bincount(key_idx, weights=c).astype(np.int64)
-    n_of_cell = n_per_key[key_idx]
-    comb = _comb(keys, cdf[value_col].to_numpy())
-    order = np.argsort(comb, kind="mergesort")
-    ref = ray.put((comb[order], rank[order].astype(np.int64),
-                   n_of_cell[order]))
-
-    def attach(b: pd.DataFrame) -> pd.DataFrame:
-        combs, ranks, ns = ray.get(ref)
-        kv = b[key_col].to_numpy()
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        cb = _comb(kv, b[value_col].to_numpy())
-        i = np.searchsorted(combs, cb)
-        r, n = ranks[i], ns[i]
-        pr = np.where(n > 1, (r - 1) / np.maximum(n - 1, 1), 0.0)
-        out = b.copy()
-        out[out_col] = pr
-        return out
-
-    return ds.map_batches(attach, batch_format="pandas")
+    n = n_per_key[key_idx]
+    cdf[out_col] = np.where(n > 1, (rank - 1) / np.maximum(n - 1, 1), 0.0)
+    table = ray.data.from_arrow(pa.Table.from_pandas(
+        cdf[[key_col, value_col, out_col]], preserve_index=False))
+    return lookup(ds, table, [key_col, value_col], [out_col],
+                  broadcast_max=broadcast_max)
 
 
 def global_row_number(ds, order_col: str, out_col: str = "rownum",

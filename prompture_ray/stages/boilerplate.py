@@ -21,11 +21,13 @@ Scale shape mirrors ``line_dedup``: pass 1 emits per-batch
 a single batch, so within-batch (doc, line) dedupe makes the global
 distinct-doc count exact — and ONE narrow shuffle of 16-byte hash rows
 folds the per-host document frequency; host doc counts fold in a
-second tiny shuffle. Size-aware dispatch everywhere: host-count and
-boilerplate-line tables under ``broadcast_max`` rows are broadcast once
-via ``ray.put`` as sorted arrays (searchsorted membership, no further
-shuffle); beyond that both go through the hash-bucketed join and docs
-are rebuilt inside bounded ``hash(id) % cells`` group frames. Line
+second tiny shuffle. Size-aware dispatch everywhere: host counts map
+back onto the line rows with ``shuffle.lookup`` (broadcast under
+``broadcast_max`` hosts, hash buckets beyond); a boilerplate-line table
+under ``broadcast_max`` rows is broadcast once via ``ray.put`` as a
+sorted array (searchsorted membership, no further shuffle), beyond
+that it goes through the hash-bucketed join and docs are rebuilt
+inside bounded ``hash(id) % cells`` group frames. Line
 identity is hash-only (64-bit mixed host×line; ~n²/2^64 collision odds
 per corpus).
 """
@@ -70,6 +72,7 @@ def boilerplate_lines(ds, text_col: str = "text", id_col: str = "doc_id",
     import ray
     from ray.data.aggregate import Sum
     from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import lookup
 
     # -- pass 1a: per-host distinct-doc frequency of every line --------
     def df_partials(t: pa.Table) -> pa.Table:
@@ -109,33 +112,15 @@ def boilerplate_lines(ds, text_col: str = "text", id_col: str = "doc_id",
         .groupby("hh").aggregate(Sum("n", alias_name="n")).materialize()
 
     # -- threshold: df*frac_den >= frac_num*n_host AND df >= min_docs --
-    if host_counts.count() <= broadcast_max:
-        hc = host_counts.to_pandas()
-        o = np.argsort(hc["hh"].to_numpy())
-        ref = ray.put((hc["hh"].to_numpy()[o], hc["n"].to_numpy()[o]))
+    def mark_bp(t: pa.Table) -> pa.Table:
+        df = t["df"].to_numpy(zero_copy_only=False)
+        n = t["n"].to_numpy(zero_copy_only=False)  # every hh exists
+        keep = (df >= min_docs) & (df * frac_den >= frac_num * n)
+        return t.filter(pa.array(keep)).select(["comb"])
 
-        def mark_bp(t: pa.Table) -> pa.Table:
-            hs, ns = ray.get(ref)
-            hh = t["hh"].to_numpy(zero_copy_only=False)
-            df = t["df"].to_numpy(zero_copy_only=False)
-            n = ns[np.searchsorted(hs, hh)]  # every hh exists by constr.
-            keep = (df >= min_docs) & (df * frac_den >= frac_num * n)
-            return t.filter(pa.array(keep)).select(["comb"])
-
-        bp = df_rows.map_batches(mark_bp, batch_format="pyarrow") \
-            .materialize()
-    else:
-        # the join probes .schema() on its inputs — materialize the
-        # groupby output or its whole lineage runs once per probe
-        joined = bucketed_equi_join(df_rows.materialize(), host_counts,
-                                    key="hh", n_buckets=n_buckets)
-
-        def filt(b: pd.DataFrame) -> pd.DataFrame:
-            df, n = b["df"].to_numpy(), b["n"].to_numpy()
-            keep = (df >= min_docs) & (df * frac_den >= frac_num * n)
-            return b.loc[keep, ["comb"]]
-
-        bp = joined.map_batches(filt, batch_format="pandas").materialize()
+    bp = lookup(df_rows, host_counts, ["hh"], ["n"],
+                broadcast_max=broadcast_max, n_buckets=n_buckets) \
+        .map_batches(mark_bp, batch_format="pyarrow").materialize()
 
     # -- pass 2: rebuild each doc from its kept lines -------------------
     if bp.count() <= broadcast_max:

@@ -1299,21 +1299,20 @@ def components_label_propagation(pairs_ds, max_rounds: int = 10,
         return pa.table({"id": pa.array(out_id), "label": pa.array(out_lab)})
 
     def jump_once(lab):
-        from prompture_ray.stages.joins import bucketed_equi_join
+        # bucketed lookup: this operator promises no driver state. The
+        # label travels as Arrow int64 end to end (exact above 2^53).
+        from prompture_ray.stages.shuffle import lookup
         lut = lab.map_batches(
             lambda t: pa.table({
-                "rid": pc.cast(t["id"], pa.int64()),
+                "label": pc.cast(t["id"], pa.int64()),
                 "rlabel": pc.cast(t["label"], pa.int64())}),
             batch_format="pyarrow").materialize()
-        j = bucketed_equi_join(lab, lut, key="label", right_key="rid")
-
-        def take(b: pd.DataFrame) -> pd.DataFrame:
-            # rlabel = label(label) <= label (labels only decrease)
-            return pd.DataFrame({
-                "id": b["id"].to_numpy().astype(np.int64),
-                "label": b["rlabel"].to_numpy().astype(np.int64)})
-
-        return j.map_batches(take, batch_format="pandas").materialize()
+        # rlabel = label(label) <= label (labels only decrease); every
+        # label is a node id, so every row finds its rlabel
+        return lookup(lab, lut, ["label"], ["rlabel"], broadcast_max=0) \
+            .map_batches(lambda t: pa.table({"id": t["id"],
+                                             "label": t["rlabel"]}),
+                         batch_format="pyarrow").materialize()
 
     prev = label_checksum(labels)
     for rnd in range(max_rounds):

@@ -19,10 +19,9 @@ fit 2^53 if the consumer re-derives it in SQL doubles, int64 here).
 Scale shape:
 - ``group_prior``: per-batch Arrow group_by partials (one row per key
   per batch) → one narrow grouped Sum shuffle bounded by keys × blocks
-  → size-aware map-back: up to ``broadcast_max`` keys the sorted
-  (hash64(key), sum, count) arrays ship once via ``ray.put`` and each
-  batch pays one searchsorted (rows never shuffle); beyond that, rows ×
-  key table go through the hash-bucketed equi-join (the 100-TB path,
+  → ``shuffle.lookup`` maps the key table back onto the rows: up to
+  ``broadcast_max`` keys it is broadcast once (rows never shuffle);
+  beyond that rows and keys meet in hash buckets (the 100-TB path,
   equality-tested via ``broadcast_max=0``).
 - ``exact_nunique``: per-batch distinct (key, val) pairs → grouped
   Count makes pairs globally distinct (ONE wide shuffle, pre-deduped
@@ -36,8 +35,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from prompture_ray.functions.sketches import hash_arrow_column
-from prompture_ray.stages.shuffle import partition_fold
+from prompture_ray.stages.shuffle import lookup, partition_fold
 
 
 def group_prior(ds, key_col: str, val_col: str,
@@ -49,9 +47,7 @@ def group_prior(ds, key_col: str, val_col: str,
     ``val_col``), ``prior`` (one exact-int division, see module
     docstring) and ``above_prior`` (``val * (n_grp + pseudo_count) >
     sum_grp + pseudo_sum``, exact int64)."""
-    import ray
     from ray.data.aggregate import Sum
-    from prompture_ray.stages.joins import bucketed_equi_join
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.select([key_col, val_col]).group_by(key_col).aggregate(
@@ -73,61 +69,26 @@ def group_prior(ds, key_col: str, val_col: str,
             Sum("__s", alias_name="sum_grp"),
             Sum("__n", alias_name="n_grp")).materialize()
 
-    def annotate(t: pa.Table, sums: np.ndarray,
-                 counts: np.ndarray) -> pa.Table:
+    def annotate(t: pa.Table) -> pa.Table:
+        if t[key_col].null_count:
+            raise ValueError(
+                f"group_prior: null {key_col!r} keys (a null key has no "
+                "group — filter or fill first)")
         val = t[val_col].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
+        # every key exists in the grouped table by construction
+        counts = t["n_grp"].to_numpy(zero_copy_only=False)
+        sums = t["sum_grp"].to_numpy(zero_copy_only=False)
         num = sums + int(pseudo_sum)
         den = counts + int(pseudo_count)
         prior = num / den  # elementwise correctly-rounded divisions
         above = val * den > num
-        return t.append_column(
-            "n_grp", pa.array(counts, type=pa.int64())) \
-            .append_column("sum_grp", pa.array(sums, type=pa.int64())) \
-            .append_column("prior", pa.array(prior, type=pa.float64())) \
+        return t.append_column("prior", pa.array(prior, type=pa.float64())) \
             .append_column("above_prior", pa.array(above, type=pa.bool_()))
 
-    if grouped.count() <= broadcast_max:
-        hs, ss, ns = [], [], []
-        for t in grouped.iter_batches(batch_format="pyarrow"):
-            hs.append(hash_arrow_column(t[key_col]))
-            ss.append(t["sum_grp"].to_numpy(zero_copy_only=False))
-            ns.append(t["n_grp"].to_numpy(zero_copy_only=False))
-        h = np.concatenate(hs) if hs else np.empty(0, dtype=np.uint64)
-        s = np.concatenate(ss).astype(np.int64) if ss \
-            else np.empty(0, dtype=np.int64)
-        n = np.concatenate(ns).astype(np.int64) if ns \
-            else np.empty(0, dtype=np.int64)
-        order = np.argsort(h)
-        ref = ray.put((h[order], s[order], n[order]))
-
-        def lookup(t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return annotate(t, np.empty(0, dtype=np.int64),
-                                np.empty(0, dtype=np.int64))
-            hk, sk, nk = ray.get(ref)
-            if t[key_col].null_count:
-                raise ValueError(
-                    f"group_prior: null {key_col!r} keys (hash lookup "
-                    "is null-dropping — filter or fill first)")
-            g = hash_arrow_column(t[key_col])
-            # every key exists in the grouped table by construction
-            idx = np.searchsorted(hk, g)
-            return annotate(t, sk[idx], nk[idx])
-
-        return ds.map_batches(lookup, batch_format="pyarrow")
-
-    joined = bucketed_equi_join(ds, grouped, key=key_col,
-                                n_buckets=n_buckets)
-
-    def from_join(b: pd.DataFrame) -> pa.Table:
-        t = pa.Table.from_pandas(b.drop(columns=["sum_grp", "n_grp"]),
-                                 preserve_index=False)
-        return annotate(t,
-                        b["sum_grp"].to_numpy().astype(np.int64),
-                        b["n_grp"].to_numpy().astype(np.int64))
-
-    return joined.map_batches(from_join, batch_format="pandas")
+    return lookup(ds, grouped, [key_col], ["n_grp", "sum_grp"],
+                  broadcast_max=broadcast_max, n_buckets=n_buckets) \
+        .map_batches(annotate, batch_format="pyarrow")
 
 
 def exact_nunique(ds, key_col: str, val_col: str,
@@ -366,15 +327,10 @@ def winsorize_by_key(ds, key_col: str, val_col: str,
     bit-identical.
 
     Scale shape: one grouped_quantiles pass for the bounds table
-    (bounded by keys), then size-aware map-back — the group_prior
-    pattern: up to ``broadcast_max`` keys the sorted (hash64(key),
-    lo, hi) arrays ship once via ray.put and each batch pays one
-    searchsorted (rows never shuffle); beyond that the rows × bounds
-    table go through the hash-bucketed equi-join (equality-tested via
-    ``broadcast_max=0``)."""
-    import ray
-    from prompture_ray.stages.joins import bucketed_equi_join
-
+    (bounded by keys), then ``shuffle.lookup`` maps the bounds back
+    onto the rows (broadcast up to ``broadcast_max`` keys, hash buckets
+    beyond — equality-tested via ``broadcast_max=0``). A null-key row
+    has no bounds and gets a null ``out_col``."""
     out_col = out_col or f"{val_col}_wins"
     lo_name = f"q_{int(round(lo_q * 100))}"
     hi_name = f"q_{int(round(hi_q * 100))}"
@@ -383,51 +339,17 @@ def winsorize_by_key(ds, key_col: str, val_col: str,
                                shuffle_blocks=shuffle_blocks) \
         .materialize()
 
-    def clamp(t: pa.Table, lo: np.ndarray,
-              hi: np.ndarray) -> pa.Table:
-        v = t[val_col].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        w = np.minimum(np.maximum(v, lo), hi)
-        return t.append_column(out_col, pa.array(w, type=pa.int64()))
+    def clamp(t: pa.Table) -> pa.Table:
+        v = pc.cast(t[val_col], pa.int64())
+        lo = pc.cast(t[lo_name], pa.int64())
+        hi = pc.cast(t[hi_name], pa.int64())
+        w = pc.if_else(pc.less(v, lo), lo,
+                       pc.if_else(pc.greater(v, hi), hi, v))
+        return t.drop_columns([lo_name, hi_name]).append_column(out_col, w)
 
-    if bounds.count() <= broadcast_max:
-        hs, los, his = [], [], []
-        for b in bounds.iter_batches(batch_format="pyarrow"):
-            hs.append(hash_arrow_column(b[key_col]))
-            los.append(b[lo_name].to_numpy(zero_copy_only=False)
-                       .astype(np.int64))
-            his.append(b[hi_name].to_numpy(zero_copy_only=False)
-                       .astype(np.int64))
-        h = np.concatenate(hs) if hs else np.empty(0, dtype=np.uint64)
-        lo = np.concatenate(los) if los \
-            else np.empty(0, dtype=np.int64)
-        hi = np.concatenate(his) if his \
-            else np.empty(0, dtype=np.int64)
-        order = np.argsort(h)
-        ref = ray.put((h[order], lo[order], hi[order]))
-
-        def lookup(t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return clamp(t, np.empty(0, dtype=np.int64),
-                             np.empty(0, dtype=np.int64))
-            hk, lk, uk = ray.get(ref)
-            g = hash_arrow_column(t[key_col])
-            idx = np.searchsorted(hk, g)   # every key exists
-            return clamp(t, lk[idx], uk[idx])
-
-        return ds.map_batches(lookup, batch_format="pyarrow")
-
-    joined = bucketed_equi_join(
-        ds, bounds, key=key_col, n_buckets=32,
-        right_cols=[key_col, lo_name, hi_name])
-
-    def from_join(b: pd.DataFrame) -> pa.Table:
-        t = pa.Table.from_pandas(
-            b.drop(columns=[lo_name, hi_name]), preserve_index=False)
-        return clamp(t, b[lo_name].to_numpy().astype(np.int64),
-                     b[hi_name].to_numpy().astype(np.int64))
-
-    return joined.map_batches(from_join, batch_format="pandas")
+    return lookup(ds, bounds, [key_col], [lo_name, hi_name],
+                  broadcast_max=broadcast_max) \
+        .map_batches(clamp, batch_format="pyarrow")
 
 
 def grouped_weighted_quantiles(ds, key_col: str, val_col: str,
@@ -584,12 +506,10 @@ def impute_group_median(ds, key_col: str, val_col: str,
     keep their nulls.
 
     Scale shape: medians come from :func:`grouped_quantiles` (one
-    narrow key shuffle); the |keys|-row median table broadcasts
-    sorted via ray.put (guarded by ``broadcast_max``) and every batch
-    pays one searchsorted — rows never shuffle."""
-    import ray
-    from prompture_ray.functions.sketches import hash64
-
+    narrow key shuffle); ``shuffle.lookup`` maps the |keys|-row median
+    table back onto the rows (broadcast up to ``broadcast_max`` keys,
+    hash buckets beyond). A null-key row has no median and keeps its
+    null."""
     out_col = out_col or val_col
     meds = grouped_quantiles(
         ds.map_batches(
@@ -599,52 +519,15 @@ def impute_group_median(ds, key_col: str, val_col: str,
                 else t[val_col])),
             batch_format="pyarrow"),
         key_col, val_col, qs=(0.5,)).materialize()
-    n_keys = meds.count()
-    if n_keys > broadcast_max:
-        raise ValueError(
-            f"impute_group_median: {n_keys} keys exceed "
-            f"broadcast_max={broadcast_max}")
-    mt = pa.concat_tables(
-        [b for b in meds.iter_batches(batch_format="pyarrow")],
-        promote_options="default")
-    keys = mt[key_col].to_numpy(zero_copy_only=False)
-    if keys.dtype.kind not in "iu":
-        keys = np.asarray(keys, dtype=object)
-    kh = hash64(keys).astype(np.uint64).view(np.int64)
-    mv = mt["q_50"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(kh, kind="mergesort")
-    ref = ray.put((kh[order], mv[order]))
 
     def fill(t: pa.Table) -> pa.Table:
-        khs, mvs = ray.get(ref)
-        kv = t[key_col].to_numpy(zero_copy_only=False)
-        if kv.dtype.kind not in "iu":
-            kv = np.asarray(kv, dtype=object)
-        h = hash64(kv).astype(np.uint64).view(np.int64)
-        col = t[val_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
-        vals = col.to_numpy(zero_copy_only=False)
-        outv = np.zeros(len(t), dtype=np.int64)
-        outv[valid] = vals[valid].astype(np.int64)
-        still_null = np.zeros(len(t), dtype=bool)
-        miss = ~valid
-        if miss.any():
-            pos = np.searchsorted(khs, h[miss])
-            ok = np.zeros(miss.sum(), dtype=bool)
-            in_rng = pos < len(khs)
-            ok[in_rng] = khs[pos[in_rng]] == h[miss][in_rng]
-            fillv = np.zeros(miss.sum(), dtype=np.int64)
-            fillv[ok] = mvs[pos[ok]]
-            outv[miss] = fillv
-            sn = np.zeros(miss.sum(), dtype=bool)
-            sn[~ok] = True
-            still_null[miss] = sn
-        arr = pa.array(outv, type=pa.int64(),
-                       mask=still_null)
+        filled = pc.coalesce(pc.cast(t[val_col], pa.int64()),
+                             pc.cast(t["q_50"], pa.int64()))
+        t = t.drop_columns(["q_50"])
         if out_col in t.column_names:
             t = t.drop_columns([out_col])
-        return t.append_column(out_col, arr)
+        return t.append_column(out_col, filled)
 
-    return ds.map_batches(fill, batch_format="pyarrow")
+    return lookup(ds, meds, [key_col], ["q_50"],
+                  broadcast_max=broadcast_max) \
+        .map_batches(fill, batch_format="pyarrow")

@@ -38,13 +38,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from prompture_ray.stages.shuffle import partition_fold
-
-TARGET_ROWS_PER_PART = 5_000_000
-
-
-def _n_parts(ds, target: int = TARGET_ROWS_PER_PART) -> int:
-    return max(64, int(np.ceil(ds.count() / target)))
+from prompture_ray.stages.shuffle import auto_n_parts, partition_fold
 
 
 def interval_coverage(ds, key_col: str, start_col: str, end_col: str,
@@ -54,7 +48,7 @@ def interval_coverage(ds, key_col: str, start_col: str, end_col: str,
     covered)``. Intervals with ``end <= start`` are dropped (documented
     contract — zero/negative spans contribute nothing to a union).
     See module docstring for the island rule and the scale shape."""
-    nparts = n_parts or _n_parts(ds)
+    nparts = n_parts or auto_n_parts(ds)
 
     def tag(t: pa.Table) -> pa.Table:
         s = pc.cast(t[start_col], pa.int64())
@@ -107,7 +101,7 @@ def gap_fill(ds, key_col: str, step_col: str, *,
     per batch) → ONE ``shuffle.partition_fold`` of the partial rows →
     one vectorized expansion pass per partition (repeat/arange over all
     keys at once + searchsorted merge of the observed counts)."""
-    nparts = n_parts or _n_parts(ds)
+    nparts = n_parts or auto_n_parts(ds)
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.select([key_col, step_col]).group_by(

@@ -17,10 +17,11 @@ order otherwise), is supported by basket B iff both items occur in B
 self-join on DISTINCT (basket, item).
 
 Scale shape: per-batch map-side shrink to distinct (basket, item)
-pairs, then ONE ``hash64(basket) % P`` shuffle so every basket lands
-wholly in one bounded frame; per partition a single VECTORIZED pass
-(lexsort → group sizes → arithmetic pair expansion, never a frame or
-Python loop per basket) emits partial pair counts; the final fold is a
+pairs, then ONE ``shuffle.partition_fold`` on the basket so every
+basket lands wholly in one bounded frame (a null basket pairs with
+nothing, as in a SQL self-join); per partition a single VECTORIZED
+pass (lexsort → group sizes → arithmetic pair expansion, never a frame
+or Python loop per basket) emits partial pair counts; the final fold is a
 grouped Sum over pair keys bounded by the pair vocabulary. Pair
 expansion is quadratic in basket size by nature — ``max_basket_items``
 drops oversized baskets entirely (the standard cap in production
@@ -34,13 +35,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from prompture_ray.functions.sketches import hash_arrow_column
-
-TARGET_ROWS_PER_PART = 5_000_000
-
-
-def _n_parts(ds, target: int = TARGET_ROWS_PER_PART) -> int:
-    return max(64, int(np.ceil(ds.count() / target)))
+from prompture_ray.stages.shuffle import auto_n_parts, partition_fold
 
 
 def pairs_within_sorted_groups(group_sizes: np.ndarray):
@@ -74,17 +69,16 @@ def frequent_pairs(ds, basket_col: str, item_col: str, *,
     baskets. See module docstring for the contract and scale shape."""
     from ray.data.aggregate import Sum
 
-    nparts = n_parts or _n_parts(ds)
+    nparts = n_parts or auto_n_parts(ds)
 
-    def tag(t: pa.Table) -> pa.Table:
-        g = t.select([basket_col, item_col]).group_by(
+    def distinct(t: pa.Table) -> pa.Table:
+        return t.select([basket_col, item_col]).group_by(
             [basket_col, item_col]).aggregate([])
-        pb = (hash_arrow_column(g[basket_col]) % np.uint64(nparts)) \
-            .astype(np.int64)
-        return g.append_column("__pb", pa.array(pb))
 
     def mine(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates([basket_col, item_col]) \
+        # a null basket pairs with nothing (SQL self-join semantics)
+        g = g[g[basket_col].notna()] \
+            .drop_duplicates([basket_col, item_col]) \
             .sort_values([basket_col, item_col], kind="mergesort")
         b = g[basket_col].to_numpy()
         it = g[item_col].to_numpy()
@@ -103,11 +97,10 @@ def frequent_pairs(ds, basket_col: str, item_col: str, *,
         out["support"] = out["support"].astype("int64")
         return out
 
-    # repartition bounds the groupby's input block count (round-5
-    # pathology: groupby sort cost follows INPUT blocks)
-    partials = ds.map_batches(tag, batch_format="pyarrow") \
-        .repartition(min(128, nparts)) \
-        .groupby("__pb").map_groups(mine, batch_format="pandas")
+    partials = partition_fold(
+        ds.map_batches(distinct, batch_format="pyarrow"),
+        [basket_col], mine, n_parts=nparts,
+        shuffle_blocks=min(128, nparts))
     folded = partials.groupby(["item_a", "item_b"]) \
         .aggregate(Sum("support", alias_name="support"))
 

@@ -92,15 +92,14 @@ def domain_cap(ds, domain_col: str, id_col: str, cap: int,
     combiner, so at most cap × n_batches candidate rows per domain move);
     pass 2 folds candidates per 64-bit domain hash inside bounded
     ``hash % cells`` frames to the cap-th smallest id (the domain's keep
-    threshold). Size-aware pass 3: thresholds (one row per domain —
-    Heaps-ish small) broadcast sorted via ``ray.put`` and flagging is a
-    pure map; beyond ``broadcast_max`` domains, rows × thresholds go
-    through the hash-bucketed equi-join."""
+    threshold). Pass 3: ``shuffle.lookup`` maps the thresholds (one row
+    per domain — Heaps-ish small) back onto the rows by domain hash —
+    broadcast up to ``broadcast_max`` domains (flagging is a pure map),
+    hash buckets beyond."""
     import pandas as pd
     import pyarrow.compute as pc
-    import ray
     from prompture_ray.functions.sketches import hash64
-    from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import lookup
 
     def dom_hash(dom_obj: np.ndarray) -> np.ndarray:
         return hash64(dom_obj.astype(object)).view(np.int64)
@@ -138,47 +137,21 @@ def domain_cap(ds, domain_col: str, id_col: str, cap: int,
         .groupby("__cell").map_groups(fold_cell, batch_format="pandas") \
         .materialize()
 
-    def out_frame(b: pd.DataFrame, keep: np.ndarray) -> pd.DataFrame:
-        return pd.DataFrame({
-            "id": b[id_col].to_numpy().astype(np.int64),
-            domain_col: b[domain_col],
-            "keep": keep})
-
-    if thresholds.count() <= broadcast_max:
-        hs, ts = [], []
-        for t in thresholds.iter_batches(batch_format="pandas"):
-            hs.append(t["__dh"].to_numpy())
-            ts.append(t["thr"].to_numpy())
-        h_all = np.concatenate(hs) if hs else np.empty(0, np.int64)
-        t_all = np.concatenate(ts) if ts else np.empty(0, np.int64)
-        o = np.argsort(h_all)
-        ref = ray.put((h_all[o], t_all[o].astype(np.int64)))
-
-        def flag(b: pd.DataFrame) -> pd.DataFrame:
-            hs_s, thr_s = ray.get(ref)
-            dh = dom_hash(b[domain_col].to_numpy())
-            idx = np.searchsorted(hs_s, dh)
-            keep = b[id_col].to_numpy().astype(np.int64) <= thr_s[idx]
-            return out_frame(b, keep)
-
-        return ds.map_batches(flag, batch_format="pandas")
-
     def project(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             "id": b[id_col].to_numpy().astype(np.int64),
             domain_col: b[domain_col],
             "__dh": dom_hash(b[domain_col].to_numpy())})
 
-    rows = ds.map_batches(project, batch_format="pandas").materialize()
-    joined = bucketed_equi_join(rows, thresholds, key="__dh",
-                                n_buckets=n_buckets)
+    def flag(t: pa.Table) -> pa.Table:
+        # every domain has a threshold by construction
+        return pa.table({"id": t["id"], domain_col: t[domain_col],
+                         "keep": pc.less_equal(t["id"], t["thr"])})
 
-    def flag_j(b: pd.DataFrame) -> pd.DataFrame:
-        return out_frame(b.rename(columns={"id": id_col}) if id_col !=
-                         "id" else b,
-                         b["id"].to_numpy() <= b["thr"].to_numpy())
-
-    return joined.map_batches(flag_j, batch_format="pandas")
+    rows = ds.map_batches(project, batch_format="pandas")
+    return lookup(rows, thresholds, ["__dh"], ["thr"],
+                  broadcast_max=broadcast_max, n_buckets=n_buckets) \
+        .map_batches(flag, batch_format="pyarrow")
 
 
 def pack_sequences(ds, id_col: str, count_col: str, budget: int,

@@ -376,21 +376,18 @@ def corpus_frequency_score(ds, text_col: str = "text",
     are bit-identical with no rounding.
 
     Shape: token rows (id, hash64(token)) → lexicon = grouped counts
-    (one narrow shuffle of 8-byte hashes). Size-aware dispatch on the
-    lexicon size (Heaps' law keeps the unique-token count far below the
-    corpus token count): up to ``broadcast_max`` entries the sorted
-    (hash, count) arrays are broadcast once via ``ray.put`` and each
-    token batch folds per-doc partials locally (searchsorted lookup) —
-    ONE narrow shuffle of partial rows, no join. Beyond that, doc
-    positions × lexicon go through the hash-bucketed equi-join (the
-    100-TB path). Nothing corpus-sized on the driver; N_corpus is the
-    only driver scalar.
+    (one narrow shuffle of 8-byte hashes). ``shuffle.lookup`` attaches
+    each token's corpus count — broadcast up to ``broadcast_max``
+    lexicon entries (Heaps' law keeps the unique-token count far below
+    the corpus token count), hash buckets beyond (the 100-TB path) —
+    and each batch folds per-doc partials locally: ONE narrow shuffle
+    of partial rows. Nothing corpus-sized on the driver; N_corpus is
+    the only driver scalar.
     """
     import pandas as pd
-    import ray
     from ray.data.aggregate import Count, Sum
     from prompture_ray.stages.dedup import _token_ngram_rows
-    from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import lookup
 
     toks = _token_ngram_rows(ds, text_col, id_col, n=1,
                              normalize=False).materialize()
@@ -405,45 +402,23 @@ def corpus_frequency_score(ds, text_col: str = "text",
         b["score"] = b["count_sum"] / (b["n_tokens"] * n_corpus)
         return b[["id", "count_sum", "n_tokens", "score"]]
 
-    if lexicon.count() <= broadcast_max:
-        parts = [(t["gram"].to_numpy(zero_copy_only=False),
-                  t["tok_count"].to_numpy(zero_copy_only=False))
-                 for t in lexicon.iter_batches(batch_format="pyarrow")]
-        g_all = np.concatenate([p[0] for p in parts]) if parts \
-            else np.empty(0, dtype=np.int64)
-        c_all = np.concatenate([p[1] for p in parts]) if parts \
-            else np.empty(0, dtype=np.int64)
-        order = np.argsort(g_all)
-        ref = ray.put((g_all[order], c_all[order].astype(np.int64)))
+    def partial(t: pa.Table) -> pa.Table:
+        # every token is in the lexicon by construction
+        df = pd.DataFrame({
+            "id": t["id"].to_numpy(zero_copy_only=False),
+            "c": t["tok_count"].to_numpy(zero_copy_only=False)})
+        agg = df.groupby("id", sort=False)["c"].agg(["sum", "size"])
+        return pa.table({
+            "id": pa.array(agg.index.to_numpy(), type=pa.int64()),
+            "count_sum": pa.array(agg["sum"].to_numpy(), type=pa.int64()),
+            "n_tokens": pa.array(agg["size"].to_numpy(), type=pa.int64())})
 
-        def partial(t: pa.Table) -> pa.Table:
-            gs, cs = ray.get(ref)
-            g = t["gram"].to_numpy(zero_copy_only=False)
-            # every token is in the lexicon by construction
-            counts = cs[np.searchsorted(gs, g)] if len(gs) \
-                else np.zeros(len(g), dtype=np.int64)
-            df = pd.DataFrame({
-                "id": t["id"].to_numpy(zero_copy_only=False),
-                "c": counts})
-            agg = df.groupby("id", sort=False)["c"].agg(["sum", "size"])
-            return pa.table({
-                "id": pa.array(agg.index.to_numpy(), type=pa.int64()),
-                "count_sum": pa.array(agg["sum"].to_numpy(),
-                                      type=pa.int64()),
-                "n_tokens": pa.array(agg["size"].to_numpy(),
-                                     type=pa.int64())})
-
-        per_doc = toks.map_batches(partial, batch_format="pyarrow") \
-            .groupby("id").aggregate(
-                Sum("count_sum", alias_name="count_sum"),
-                Sum("n_tokens", alias_name="n_tokens"))
-        return per_doc.map_batches(finish, batch_format="pandas")
-
-    joined = bucketed_equi_join(toks, lexicon, key="gram",
-                                n_buckets=n_buckets)
-    per_doc = joined.groupby("id").aggregate(
-        Sum("tok_count", alias_name="count_sum"),
-        Count(alias_name="n_tokens"))
+    per_doc = lookup(toks, lexicon, ["gram"], ["tok_count"],
+                     broadcast_max=broadcast_max, n_buckets=n_buckets) \
+        .map_batches(partial, batch_format="pyarrow") \
+        .groupby("id").aggregate(
+            Sum("count_sum", alias_name="count_sum"),
+            Sum("n_tokens", alias_name="n_tokens"))
     return per_doc.map_batches(finish, batch_format="pandas")
 
 

@@ -16,15 +16,16 @@ Scale shape (one narrow shuffle total):
 - pass 1: per-batch distinct (doc, term) posting rows reduced to
   hash64(term) → grouped Count = document frequency. Only 8-byte
   hashes shuffle; Heaps' law keeps the lexicon small.
-- size-aware df broadcast (`ray.put` sorted (hash, df) arrays, the
-  corpus_frequency_score pattern) — per batch, pass 2 recomputes
-  (doc, term, tf) locally with the dictionary-encode kernel (a doc's
-  tokens never leave its batch), looks df up via searchsorted, and
-  selects the per-doc top-k with one vectorized lexsort. Document
-  text and term strings are never shuffled.
-Beyond ``broadcast_max`` lexicon entries the df lookup goes through
-the hash-bucketed equi-join (the 100-TB path), equality-tested via
-``broadcast_max=0`` in tests/test_tfidf.py.
+- size-aware df broadcast (`ray.put` sorted (hash, df) arrays) — per
+  batch, pass 2 recomputes (doc, term, tf) locally with the
+  dictionary-encode kernel (a doc's tokens never leave its batch),
+  looks df up via searchsorted, and selects the per-doc top-k with one
+  vectorized lexsort. Document text and term strings are never
+  shuffled. Beyond ``broadcast_max`` lexicon entries the df lookup goes
+  through the hash-bucketed equi-join (the 100-TB path),
+  equality-tested via ``broadcast_max=0`` in tests/test_tfidf.py.
+``distinctive_terms`` maps its term totals back with
+``shuffle.lookup``, which makes the same size dispatch.
 """
 from __future__ import annotations
 
@@ -413,14 +414,14 @@ def distinctive_terms(ds, group_col: str, text_col: str = "text",
     Scale shape: per-batch (group, term) count partials → ONE grouped
     Sum shuffle bounded by groups × lexicon (Heaps-small); term totals
     fold from that table (narrow), group totals are a tiny fold; term
-    totals map back via size-aware broadcast (sorted hash64 arrays,
-    the tfidf df pattern) with the hash-bucketed join fallback beyond
-    ``broadcast_max`` (equality-tested via ``broadcast_max=0``); the
-    final cut is analytic.top_k_per_group (partial top-k per block)."""
-    import ray
+    totals map back via ``shuffle.lookup`` (broadcast up to
+    ``broadcast_max`` terms, hash buckets beyond — equality-tested via
+    ``broadcast_max=0``); the final cut is analytic.top_k_per_group
+    (partial top-k per block)."""
     import pandas as pd
     from ray.data.aggregate import Sum
     from prompture_ray.stages.analytic import top_k_per_group
+    from prompture_ray.stages.shuffle import lookup
     from prompture_ray.functions import limit_arrow_threads
 
     def count_partial(t: pa.Table) -> pa.Table:
@@ -461,8 +462,9 @@ def distinctive_terms(ds, group_col: str, text_col: str = "text",
     ng_map = dict(zip(gt["g"], gt["ng"].astype(np.int64)))
     big_n = int(gt["ng"].sum())
 
-    def lift_cols(t: pa.Table, ct: np.ndarray) -> pa.Table:
+    def lift_cols(t: pa.Table) -> pa.Table:
         c_tg = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)
+        ct = t["ct"].to_numpy(zero_copy_only=False).astype(np.int64)
         ng = np.asarray([ng_map[g] for g in t["g"].to_pylist()],
                         dtype=np.int64)
         lift = (c_tg * big_n) / (ng * ct)
@@ -470,36 +472,9 @@ def distinctive_terms(ds, group_col: str, text_col: str = "text",
                          "c_tg": pa.array(c_tg, type=pa.int64()),
                          "lift": pa.array(lift, type=pa.float64())})
 
-    if term_tot.count() <= broadcast_max:
-        hs, cs = [], []
-        for b in term_tot.iter_batches(batch_format="pyarrow"):
-            hs.append(hash64(np.asarray(b["term"].to_pylist(),
-                                        dtype=object)))
-            cs.append(b["ct"].to_numpy(zero_copy_only=False)
-                      .astype(np.int64))
-        h = np.concatenate(hs) if hs else np.empty(0, dtype=np.uint64)
-        cv = np.concatenate(cs) if cs else np.empty(0, dtype=np.int64)
-        order = np.argsort(h)
-        ref = ray.put((h[order], cv[order]))
-
-        def annotate(t: pa.Table) -> pa.Table:
-            hk, ck = ray.get(ref)
-            th = hash64(np.asarray(t["term"].to_pylist(),
-                                   dtype=object))
-            ct = ck[np.searchsorted(hk, th)]
-            return lift_cols(t, ct)
-
-        lifted = counts.map_batches(annotate, batch_format="pyarrow")
-    else:
-        from prompture_ray.stages.joins import bucketed_equi_join
-        joined = bucketed_equi_join(counts, term_tot, key="term")
-
-        def from_join(b: pd.DataFrame) -> pa.Table:
-            t = pa.Table.from_pandas(b[["g", "term", "c"]],
-                                     preserve_index=False)
-            return lift_cols(t, b["ct"].to_numpy().astype(np.int64))
-
-        lifted = joined.map_batches(from_join, batch_format="pandas")
-
+    # every term exists in term_tot by construction
+    lifted = lookup(counts, term_tot, ["term"], ["ct"],
+                    broadcast_max=broadcast_max) \
+        .map_batches(lift_cols, batch_format="pyarrow")
     return top_k_per_group(lifted, "group", "lift", k,
                            tie_col="term")

@@ -24,15 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from prompture_ray.stages.shuffle import partition_fold
-
-TARGET_ROWS_PER_PART = 5_000_000
-
-
-def _n_parts(ds, target: int) -> int:
-    # count() on a projected parquet read is metadata-cheap; bound the
-    # per-frame row count without materializing anything.
-    return max(64, int(np.ceil(ds.count() / target)))
+from prompture_ray.stages.shuffle import auto_n_parts, partition_fold
 
 
 def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
@@ -49,7 +41,7 @@ def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
     from ray.data.aggregate import Sum
 
     step_set = pa.array(steps, type=pa.string())
-    nparts = n_parts or _n_parts(ds, TARGET_ROWS_PER_PART)
+    nparts = n_parts or auto_n_parts(ds)
 
     def tag(t: pa.Table) -> pa.Table:
         idx = pc.index_in(pc.cast(t[type_col], pa.string()),
@@ -113,7 +105,7 @@ def retention_cohorts(ds, user_col: str, ts_col: str,
     """
     from ray.data.aggregate import Sum
 
-    nparts = n_parts or _n_parts(ds, TARGET_ROWS_PER_PART)
+    nparts = n_parts or auto_n_parts(ds)
 
     def tag(t: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(t[ts_col], pa.timestamp("us")), pa.int64())

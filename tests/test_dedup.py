@@ -264,6 +264,22 @@ def test_label_propagation_hash_magnitude_ids(ray_session):
     assert got == want
 
 
+def test_label_propagation_jump_hash_magnitude_ids(ray_session):
+    """Pointer jumping (the bucketed shuffle.lookup of label(label))
+    keeps node ids above 2^53 int64-exact on a long chain."""
+    import ray.data as rd
+    from prompture_ray.stages.dedup import (
+        components_label_propagation, _components)
+    ids = 2**62 + 7 * np.arange(40, dtype=np.int64)
+    pairs = pd.DataFrame({"id_a": ids[:-1], "id_b": ids[1:]})
+    dist = components_label_propagation(rd.from_pandas(pairs),
+                                        max_rounds=40,
+                                        jump=True).to_pandas()
+    got = dict(zip(dist["id"].astype(np.int64),
+                   dist["component"].astype(np.int64)))
+    assert got == {int(k): int(v) for k, v in _components(pairs).items()}
+
+
 def test_label_propagation_many_tiny_edge_blocks(ray_session):
     """Regression for the two 900k-rehearsal pathologies: (a) edges
     arriving in hundreds of tiny blocks used to GROW the label table's

@@ -97,3 +97,24 @@ def test_frequent_pairs_int_items(ray_session):
         .to_pandas()
     assert list(out["item_a"]) == [9] and list(out["item_b"]) == [10]
     assert list(out["support"]) == [2]
+
+
+def test_frequent_pairs_null_basket_pairs_nothing(ray_session):
+    # a null basket pairs with nothing (SQL self-join semantics): the
+    # two null-basket rows would make (a, c) if they formed a basket
+    import ray.data as rd
+    first = pa.table({"basket": pa.array([1, 1, 2, 2], type=pa.int64()),
+                      "item": ["a", "b", "a", "b"]})
+
+    def run(second):
+        out = frequent_pairs(rd.from_arrow([first, second]), "basket",
+                             "item", min_support=1).to_pandas()
+        return {(r.item_a, r.item_b): r.support
+                for r in out.itertuples()}
+
+    with_null = run(pa.table({
+        "basket": pa.array([3, 3, None, None], type=pa.int64()),
+        "item": ["a", "c", "a", "c"]}))
+    without = run(pa.table({"basket": pa.array([3, 3], type=pa.int64()),
+                            "item": ["a", "c"]}))
+    assert with_null == without == {("a", "b"): 2, ("a", "c"): 1}

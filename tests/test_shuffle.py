@@ -1,5 +1,5 @@
-"""stages/shuffle.py: the partition-id rule and layout independence of
-every per-key fold built on it."""
+"""stages/shuffle.py: the partition-id rule, the keyed lookup, and
+layout independence of every per-key fold and map-back built on them."""
 
 import numpy as np
 import pandas as pd
@@ -84,7 +84,72 @@ def test_empty_table():
 
 
 # ---------------------------------------------------------------------------
-# layout independence of every per-key fold on partition_fold
+# lookup
+# ---------------------------------------------------------------------------
+BIG = 2**61 + 3          # not representable in float64
+
+
+@pytest.mark.parametrize("bmax", [20_000_000, 0])
+def test_lookup_matches_a_dict_reference(ray_session, bmax):
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import lookup
+    keys = [[5, 7, 11, None], [7, 13, 5, 2**40]]
+    rows = [pa.table({"row": pa.array(range(4 * i, 4 * i + 4), pa.int64()),
+                      "k": pa.array(b, pa.int64())})
+            for i, b in enumerate(keys)]
+    # 13 is absent; the null-key table row must not meet the null row
+    table = pa.table({"k": pa.array([5, 7, 11, 2**40, None], pa.int64()),
+                      "big": pa.array([BIG + i for i in range(5)],
+                                      pa.int64()),
+                      "name": ["five", "seven", None, "huge", "null"]})
+    ref = {5: (BIG, "five"), 7: (BIG + 1, "seven"), 11: (BIG + 2, None),
+           2**40: (BIG + 3, "huge")}
+    out = lookup(rd.from_arrow(rows), rd.from_arrow(table), ["k"],
+                 ["big", "name"], broadcast_max=bmax)
+    got = sorted(out.take_all(), key=lambda r: r["row"])
+    want = []
+    for r, k in enumerate(keys[0] + keys[1]):
+        big, name = ref.get(k, (None, None))
+        want.append({"row": r, "k": k, "big": big, "name": name})
+    assert got == want
+    schema = out.schema()
+    assert list(schema.names) == ["row", "k", "big", "name"]
+    assert list(schema.types)[2:] == [pa.int64(), pa.string()]
+
+
+def test_lookup_paths_agree_on_two_column_and_string_keys(ray_session):
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import lookup
+    rows = rd.from_arrow([
+        pa.table({"a": ["x", "y", None], "b": pa.array([1, 2, 3])}),
+        pa.table({"a": ["x", "x", "z"], "b": pa.array([2, 1, 1])})])
+    table = rd.from_arrow(pa.table({"a": ["x", "x", "y", "z"],
+                                    "b": pa.array([1, 2, 2, 9]),
+                                    "v": pa.array([10, 20, 30, 40])}))
+    got = [sorted(lookup(rows, table, ["a", "b"], ["v"],
+                         broadcast_max=bmax).take_all(),
+                  key=repr) for bmax in (100, 0)]
+    assert got[0] == got[1]
+    assert sorted((r["a"], r["b"], r["v"]) for r in got[0]
+                  if r["a"] is not None) == [
+        ("x", 1, 10), ("x", 1, 10), ("x", 2, 20), ("y", 2, 30),
+        ("z", 1, None)]
+
+
+@pytest.mark.parametrize("bmax", [20_000_000, 0])
+def test_group_prior_null_key_raises_on_both_paths(ray_session, bmax):
+    import ray.data as rd
+    from prompture_ray.stages.groupstats import group_prior
+    ds = rd.from_arrow([_table(np.arange(24)),
+                        _table(np.arange(30, 31), k=[None])])
+    # Ray wraps the task's ValueError; its message names the cause
+    with pytest.raises(Exception,
+                       match="ValueError: group_prior: null 'k' keys"):
+        group_prior(ds, "k", "v", broadcast_max=bmax).materialize()
+
+
+# ---------------------------------------------------------------------------
+# layout independence of every per-key fold and map-back
 # ---------------------------------------------------------------------------
 HOUR = 3_600_000_000
 KEYS = [5, 7, 11, 13, 17, 19]
@@ -164,6 +229,19 @@ def _ops():
         "interval_coverage": lambda ds: iv.interval_coverage(
             ds, "k", "t", "e"),
         "gap_fill": lambda ds: iv.gap_fill(ds, "k", "step"),
+        # map-backs on shuffle.lookup, at both sizes; percent_rank_by_key
+        # has no broadcast_max=0 row: its driver cumsum needs the cells
+        # collected, so the cell-count guard raises there
+        "winsorize_by_key": lambda ds: gs.winsorize_by_key(
+            ds, "k", "v", lo_q=0.25, hi_q=0.75),
+        "winsorize_by_key_bucketed": lambda ds: gs.winsorize_by_key(
+            ds, "k", "v", lo_q=0.25, hi_q=0.75, broadcast_max=0),
+        "impute_group_median": lambda ds: gs.impute_group_median(
+            ds, "k", "w", out_col="w_imp"),
+        "impute_group_median_bucketed": lambda ds: gs.impute_group_median(
+            ds, "k", "w", out_col="w_imp", broadcast_max=0),
+        "percent_rank_by_key": lambda ds: an.percent_rank_by_key(
+            ds, "k", "v"),
     }
 
 
