@@ -122,14 +122,19 @@ def run_bench() -> dict:
 
 
 def _probe_udf_cpu(data_dir: Path, n_frags: int = 96) -> float:
-    """Per-row process-CPU time of the hot UDF with all workers busy."""
+    """Per-row process-CPU time of HTML extraction with all workers busy.
+
+    Times the frozen original extractor (``tools/extract_seed.py``), not the
+    engine's, so the reading tracks the host's speed and does not move when
+    the engine's extraction gets faster: docs/s × probe µs/row then shows
+    an engine speed-up instead of cancelling it."""
     import ray.data as rd
     import pyarrow as pa
     import pyarrow.compute as pc
 
     def work(t):
         import time as _t
-        from prompture_ray.functions.extract_html import extract_text
+        from tools.extract_seed import extract_text
         from prompture_ray.functions import limit_arrow_threads
         limit_arrow_threads(1)
         c0 = _t.process_time()

@@ -21,13 +21,19 @@ The same function is used by the synthetic-data generator to produce the
 from __future__ import annotations
 
 import re
+from html import unescape
 from html.parser import HTMLParser
 
+# The lookahead only rejects early: under IGNORECASE [snfha] accepts
+# exactly the first letters the names accept (ſ included), so most "<"s
+# fail on one class test instead of seven case-folded branches.
 _BOILERPLATE_TAGS = re.compile(
-    r"<(script|style|nav|footer|header|aside|noscript)\b[^>]*>.*?</\1>",
+    r"<(?=[snfha])(script|style|nav|footer|header|aside|noscript)\b[^>]*>"
+    r".*?</\1>",
     re.DOTALL | re.IGNORECASE,
 )
-_COLLAPSE_NL = re.compile(r"\n{3,}")
+# same spans as \n{3,}, but a literal prefix lets sre scan for it fast
+_COLLAPSE_NL = re.compile(r"\n\n\n+")
 _TITLE_RE = re.compile(r"<title[^>]*>(.*?)</title>", re.DOTALL | re.IGNORECASE)
 
 
@@ -55,9 +61,21 @@ def strip_tags(html: str) -> str:
 # ``strip_tags`` whenever every "<" opens a real tag/comment (letters, /,
 # !, ?). Raw "<" in text (malformed HTML), or a "<" left unconsumed by the
 # tag regex (e.g. an unterminated quote), falls back to the parser so the
-# two paths never disagree. ~3.5× faster and far fewer allocations than
-# HTMLParser — which matters at 32 concurrent workers where allocation-
-# heavy parsing contends on the memory subsystem.
+# two paths never disagree. It allocates far less than HTMLParser, which
+# matters at 32 concurrent workers where allocation-heavy parsing
+# contends on the memory subsystem.
+#
+# Per-row cost of ``extract_text`` by step, in µs, on 30k benchmark pool
+# pages (~1.5 KB of HTML each; one AMD EPYC core, process time, best of
+# 5), before → after the regex tuning that kept the output identical
+# (tests/test_extract_seed.py holds the old code as its reference):
+#
+#   collapse + strip      7.6 → 2.0   literal-prefix ``\n\n\n+``
+#   tag split             4.0 → 3.3   possessive ``_TAG_RE``
+#   boilerplate sub       3.3 → 2.6   ``(?=[snfha])`` prefilter
+#   "<" / "&" checks      1.5 → 0.2   one scan of the joined text
+#   filter, join, comment, raw "<", decode: ~3.5, unchanged
+#   total                18.2 → 9.6
 #
 # Quote handling mirrors HTMLParser's tolerant tag scan: a quote run counts
 # as an attribute value (and may contain ">") only when it directly follows
@@ -66,34 +84,35 @@ def strip_tags(html: str) -> str:
 # <a data=don't>x</a> still ends the tag at the first ">".
 # Branches are mutually exclusive at every position ("=" either starts a
 # quoted value or provably doesn't), so the scan is deterministic/linear —
-# no exponential backtracking on adversarial input.
+# no exponential backtracking on adversarial input. For the same reason
+# backtracking could never change a match's extent, and the quantifiers
+# are possessive: a failed "<" gives up at once.
 _TAG_RE = re.compile(
     r"<[/!?a-zA-Z]"
-    r"(?:=\s*\"[^\"]*\""      # =-prefixed double-quoted value (">" allowed)
+    r"(?:[^>=]++"             # run of ordinary tag bytes
+    r"|=\s*\"[^\"]*\""        # =-prefixed double-quoted value (">" allowed)
     r"|=\s*'[^']*'"           # =-prefixed single-quoted value
-    r"|[^>=]"                 # ordinary tag byte
     r"|=(?!\s*[\"'])"         # "=" not introducing a quoted value
-    r")*"
+    r")*+"
     r">"
 )
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
-_RAW_LT = re.compile(r"<(?![/!?a-zA-Z]|!--)")
+_RAW_LT = re.compile(r"<(?![/!?a-zA-Z])")
 
 
 def strip_tags_fast(html: str) -> str:
     html = _COMMENT_RE.sub("", html)
     if _RAW_LT.search(html):
         return strip_tags(html)
-    parts = _TAG_RE.split(html)
-    if any("<" in p for p in parts):
+    # The separator is neither "<" nor "&", so the joined text holds one
+    # exactly when some part does. No character reference can span a
+    # "\n", so unescaping the joined text equals joining unescaped parts.
+    text = "\n".join(filter(None, _TAG_RE.split(html)))
+    if "<" in text:
         # a "<" survived the split (unterminated tag/quote) — let the
         # parser decide rather than guessing.
         return strip_tags(html)
-    parts = [p for p in parts if p != ""]
-    if any("&" in p for p in parts):
-        from html import unescape
-        parts = [unescape(p) for p in parts]
-    return "\n".join(parts)
+    return unescape(text) if "&" in text else text
 
 
 def extract_text(html: bytes | str) -> str:
@@ -116,13 +135,24 @@ def extract_title(html: bytes | str) -> str | None:
     return m.group(1).strip() if m else None
 
 
-class HtmlExtractor:
-    """Actor-pool stage: html:binary column → extracted_text:string column.
+def extract_column(arr):  # pa.Array | pa.ChunkedArray -> pa.Array
+    """``extract_text`` over a binary or string column; nulls stay null."""
+    import pyarrow as pa
 
-    Use as ``ds.map_batches(HtmlExtractor, batch_format="pyarrow",
-    batch_size=256, concurrency=N)``. HTML parsing is inherently per-row
-    Python (no vectorized kernel exists); the actor pool amortizes setup
-    and the small batch size bounds memory for large binary payloads.
+    return pa.array([None if v is None else extract_text(v)
+                     for v in arr.to_pylist()], type=pa.string())
+
+
+class HtmlExtractor:
+    """Map stage: html:binary column → extracted_text:string column.
+
+    ``run_suite`` passes an instance, ``ds.map_batches(HtmlExtractor(),
+    batch_format="pyarrow", batch_size=1024)``, so it runs as a stateless
+    task pool and Ray fuses read → extract → validate into one task chain.
+    Extraction is per-row Python over the column (``extract_column``): a
+    chain of ``pyarrow.compute`` RE2 kernels gives the same text but
+    measured slower (about 22 against 16 µs/row before the regex tuning
+    above).
     """
 
     def __init__(self, html_col: str = "html", out_col: str = "extracted_text"):
@@ -130,10 +160,7 @@ class HtmlExtractor:
         self.out_col = out_col
 
     def __call__(self, batch):  # pa.Table -> pa.Table
-        import pyarrow as pa
-
         from prompture_ray.functions import limit_arrow_threads
         limit_arrow_threads(1)
-        col = batch[self.html_col]
-        out = [None if v is None else extract_text(v) for v in col.to_pylist()]
-        return batch.append_column(self.out_col, pa.array(out, type=pa.string()))
+        return batch.append_column(self.out_col,
+                                   extract_column(batch[self.html_col]))

@@ -126,7 +126,11 @@ def partition_fold(ds, cols: list, fn, *, n_parts: int,
     before the groupby: Ray's groupby sort cost follows the INPUT block
     count (a 1500-fragment 9M-row run measured 128x superlinear
     without it); size it ≈ rows / 500k beyond ~64M rows. ``None`` keeps
-    the input's blocks."""
+    the input's blocks.
+
+    A pandas ``fn``'s frame comes back as an Arrow block whose integer
+    input columns keep their input types (``_unwiden``), so a null key
+    or value does not change a column's type in one partition only."""
     cols = list(cols)
 
     def tag(t: pa.Table) -> pa.Table:
@@ -139,9 +143,30 @@ def partition_fold(ds, cols: list, fn, *, n_parts: int,
     def run(g: pa.Table):
         # drop the id in Arrow (zero-copy), not after a pandas conversion
         g = g.drop_columns(["__pb"])
-        return fn(g.to_pandas() if batch_format == "pandas" else g)
+        if batch_format != "pandas":
+            return fn(g)
+        # Ray's own pandas -> Arrow block conversion (all-null -> null type)
+        from ray.data.block import BlockAccessor
+        out = BlockAccessor.for_block(fn(g.to_pandas())).to_arrow()
+        return _unwiden(out, g.schema)
 
     return tagged.groupby("__pb").map_groups(run, batch_format="pyarrow")
+
+
+def _unwiden(t: pa.Table, like: pa.Schema) -> pa.Table:
+    """``t`` with every integer column of ``like`` that pandas widened
+    cast back to its type. An int64 column holding a null (a null key in
+    partition ``n_parts``, a null value anywhere) comes out of pandas as
+    float64, or as the null type when it is all null, while the same
+    column of a partition without nulls stays int64: the blocks of one
+    Dataset would then disagree on the column's type."""
+    want = t.schema
+    for i, f in enumerate(want):
+        j = like.get_field_index(f.name)
+        if j >= 0 and pa.types.is_integer(like.field(j).type) and (
+                pa.types.is_floating(f.type) or pa.types.is_null(f.type)):
+            want = want.set(i, f.with_type(like.field(j).type))
+    return t if want.equals(t.schema) else t.cast(want)
 
 
 # ---------------------------------------------------------------------------

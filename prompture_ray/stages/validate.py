@@ -30,7 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from prompture_ray.specs import CheckSpec, Suite
-from prompture_ray.functions.extract_html import extract_text
+from prompture_ray.functions.extract_html import extract_column
 
 OBSERVED_TRUNC = 80
 
@@ -143,11 +143,7 @@ def eval_check(check: CheckSpec, batch: pa.Table) -> pa.Array:
         if "extracted_text" in batch.column_names:
             extracted = batch["extracted_text"]
         else:
-            src = batch[check.source]
-            extracted = pa.array(
-                [None if v is None else extract_text(v) for v in src.to_pylist()],
-                type=pa.string(),
-            )
+            extracted = extract_column(batch[check.source])
         both_null = pc.and_(pc.is_null(col), pc.is_null(extracted))
         eq = pc.fill_null(pc.equal(col, extracted), False)
         return pc.or_(eq, both_null)

@@ -23,7 +23,15 @@ def test_boilerplate_removed():
 
 def test_newline_collapse_and_strip():
     html = b"<div><p>a</p>\n\n\n\n<p>b</p></div>"
-    assert extract_text(html) == "a\n\n\nb" or "\n\n\n\n" not in extract_text(html)
+    assert extract_text(html) == "a\n\nb"
+    # inside one text node: a run of 3+ newlines collapses to exactly 2
+    assert extract_text(b"<p>a\nb</p>") == "a\nb"
+    assert extract_text(b"<p>a\n\nb</p>") == "a\n\nb"
+    assert extract_text(b"<p>a\n\n\nb</p>") == "a\n\nb"
+    assert extract_text(b"<p>a\n\n\n\nb</p>") == "a\n\nb"
+    # between tags the "\n" joins add one newline on each side of the run
+    assert extract_text(b"<p>a</p><p>b</p>") == "a\nb"
+    assert extract_text(b"<p>a</p>\n<p>b</p>") == "a\n\nb"
     assert extract_text(b"  <p>x</p>  ") == "x"
 
 

@@ -275,3 +275,19 @@ def test_fold_is_layout_independent_with_a_null_key(ray_session, op):
     assert len(clean) > 1
     assert two == one
     assert two == clean
+
+
+@pytest.mark.parametrize("op", ["cusum_flags", "grouped_quantiles",
+                                "grouped_weighted_quantiles",
+                                "ntile_by_key", "rolling_anomaly"])
+def test_pandas_fold_blocks_keep_the_key_type(ray_session, op):
+    """Every output block of a pandas fold, the null-key partition's
+    included, carries the int64 key as int64 (pandas turns a key column
+    holding a null into float64), so the blocks concatenate."""
+    import ray
+    import ray.data as rd
+    ds = _ops()[op](rd.from_arrow(_blocks(True, False)))
+    blocks = [ray.get(r) for r in ds.to_arrow_refs()]
+    out = pa.concat_tables(blocks, promote_options="default")
+    assert out.schema.field("k").type == pa.int64()
+    assert out["k"].null_count == 1
