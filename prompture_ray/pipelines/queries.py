@@ -1306,7 +1306,7 @@ ORDER BY doc_id, seq, is_final
 def running_sum_events(sf_dir: str):
     """Per-key running sum in the hot-key-safe bucketed form
     (windows.running_aggregate_bucketed): group size bounded by
-    key × day, offsets joined back distributed. Values are summed in
+    key × day, offsets mapped back by lookup. Values are summed in
     exact integer cents so the per-row oracle is association-order-free
     (the q1 integer-units trick; no (user_id, ts) ties in the data)."""
     from prompture_ray.stages.windows import running_aggregate_bucketed
@@ -3978,7 +3978,7 @@ def pack_sequences_docs(sf_dir: str):
     contiguous 512-token bins by whitespace token count; bin =
     exclusive-prefix // budget — all-integer, exact on both sides. The
     global ordered prefix sum runs distributed (bounded cells +
-    offset join; no driver state)."""
+    an offset lookup on one row per cell)."""
     from prompture_ray.stages.sampling import pack_sequences
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 

@@ -19,8 +19,11 @@ Two forms:
   (never a frame per tiny cell — the repo's round-4 rule); cross-cell
   corrections ride on TINY per-cell patch rows (row-number offset,
   previous cell's last W-1 values right-aligned into W-1 int columns,
-  next cell's first value) that are joined back with one
-  ``bucketed_equi_join``. No driver state; every stage is a Dataset op.
+  next cell's first value) that ``shuffle.lookup`` maps back by (key,
+  bucket). Up to ``shuffle.BROADCAST_MAX`` cells the driver collects
+  and broadcasts them (~260 B per cell at its peak for W=3, ~5 GB at
+  the 20M limit) and rows never shuffle again; beyond it the patches
+  stay distributed (hash buckets).
 
 Exactness: values are summed as int64 (callers pass an integer value
 column — the q1 integer-units trick), so ``msum`` is association-free
@@ -35,6 +38,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from prompture_ray.stages import shuffle
 from prompture_ray.stages.shuffle import lookup, partition_fold
 
 
@@ -77,35 +81,36 @@ def analytic_window_bucketed(ds, key_col: str, ts_col: str, tie_col: str,
                              n_parts: int = 64):
     """Hot-key-safe analytic window (see module docstring). Equality with
     ``analytic_window`` is pinned by test, including cells smaller than
-    the window (patch tails span multiple preceding cells). Null-key
-    rows are dropped: they have no (key, bucket) cell id to join on."""
-    from prompture_ray.stages.joins import bucketed_equi_join
-    from prompture_ray.stages.windows import _cell_tagger
+    the window (patch tails span multiple preceding cells). Phase 1
+    hands pandas only the key, bucket, order and value columns
+    (``windows._cell_fold``), phase 3 is ``shuffle.lookup`` and an
+    Arrow finish, so passthrough columns keep their Arrow types.
+    Null-key rows are dropped: they have no cell to look a patch up for."""
+    from prompture_ray.stages.windows import _cell_fold, _cell_tagger
     assert window >= 2, "window < 2 degenerates; use window >= 2"
     W = int(window)
     ptail_cols = [f"__p{j}" for j in range(1, W)]   # __p1 .. __p{W-1}
+    cell = [key_col, "__bucket"]
     tagged = ds.map_batches(_cell_tagger(key_col, ts_col, bucket, True),
                             batch_format="pyarrow")
 
     # phase 1: local analytics per (key, bucket) cell — ONE vectorized
     # pandas pass over all cells in a bounded hash-partition frame
-    def local(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, "__bucket", ts_col, tie_col],
-                          kind="mergesort")
-        grp = g.groupby([key_col, "__bucket"], sort=False)
-        g["__lrn"] = (grp.cumcount() + 1).astype(np.int64)
-        g["__n"] = grp[value_col].transform("size").astype(np.int64)
+    def local(g: pd.DataFrame) -> dict:
+        grp = g.groupby(cell, sort=False)
         lcum = grp[value_col].cumsum().astype(np.int64)
-        lsh = lcum.groupby(
-            [g[key_col], g["__bucket"]], sort=False).shift(W) \
-            .fillna(0).astype(np.int64)
-        g["__lmsum"] = lcum - lsh
-        g["__llag"] = grp[value_col].shift(1).astype(np.float64)
-        g["__llead"] = grp[value_col].shift(-1).astype(np.float64)
-        return g
+        lsh = lcum.groupby([g[key_col], g["__bucket"]], sort=False) \
+            .shift(W).fillna(0).astype(np.int64)
+        return {"__lrn": (grp.cumcount() + 1).astype(np.int64),
+                "__n": grp[value_col].transform("size").astype(np.int64),
+                "__lmsum": lcum - lsh,
+                "__llag": grp[value_col].shift(1).astype(np.float64),
+                "__llead": grp[value_col].shift(-1).astype(np.float64)}
 
-    part = partition_fold(tagged, [key_col, "__bucket"], local,
-                          n_parts=n_parts).materialize()
+    part = partition_fold(
+        tagged, cell,
+        _cell_fold(cell + [ts_col, tie_col], [value_col], local),
+        n_parts=n_parts, batch_format="pyarrow").materialize()
 
     # phase 2: per-cell patch rows from BOUNDARY rows only (first / last /
     # trailing W-1 rows of each cell — ≤ W+1 rows per cell reach this
@@ -114,11 +119,11 @@ def analytic_window_bucketed(ds, key_col: str, ts_col: str, tie_col: str,
     # partition are patched in ONE vectorized pandas pass (never a frame
     # per key — the round-4 tiny-cells rule; ADVICE r4 flagged the
     # groupby(key).map_groups form this replaces).
-    def boundary(b: pd.DataFrame) -> pd.DataFrame:
+    def boundary(b: pa.Table) -> pa.Table:
         lrn, n = b["__lrn"].to_numpy(), b["__n"].to_numpy()
         keep = (lrn == 1) | (lrn == n) | (lrn > n - (W - 1))
-        return b.loc[keep, [key_col, "__bucket", "__kb", "__lrn", "__n",
-                            value_col]]
+        return b.select(cell + ["__lrn", "__n", value_col]) \
+            .filter(pa.array(keep))
 
     def patches_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, "__bucket", "__lrn"],
@@ -131,7 +136,7 @@ def analytic_window_bucketed(ds, key_col: str, ts_col: str, tie_col: str,
         f_mask, l_mask = lrn == 1, lrn == n
         cells = pd.DataFrame({
             key_col: g[key_col].to_numpy()[f_mask],
-            "__kb": g["__kb"].to_numpy()[f_mask],
+            "__bucket": g["__bucket"].to_numpy()[f_mask],
             "__n": n[f_mask],
             "__first": vals[f_mask].astype(np.float64),
             "__last": vals[l_mask].astype(np.float64)})
@@ -160,48 +165,41 @@ def analytic_window_bucketed(ds, key_col: str, ts_col: str, tie_col: str,
             ok = j >= (W - plen)
             cells[cname] = np.where(
                 ok, tv[idx] if len(tv) else 0, 0).astype(np.int64)
-        return cells.drop(columns=[key_col, "__n", "__first", "__last"])
+        return cells.drop(columns=["__n", "__first", "__last"])
 
+    # materialized: lookup counts and collects its table
     patch_ds = partition_fold(
-        part.map_batches(boundary, batch_format="pandas"), [key_col],
+        part.map_batches(boundary, batch_format="pyarrow"), [key_col],
         patches_part, n_parts=n_parts).materialize()
 
-    part_cols = [c for c in part.schema().names if c != "__bucket"]
-    joined = bucketed_equi_join(
-        part, patch_ds, key="__kb",
-        left_cols=part_cols,
-        right_cols=["__kb", "__rnoff", "__prevlast", "__plen",
-                    "__nextfirst"] + ptail_cols)
+    patch_cols = ["__rnoff", "__prevlast", "__plen", "__nextfirst"] \
+        + ptail_cols
 
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        lrn = b["__lrn"].to_numpy().astype(np.int64)
-        n = b["__n"].to_numpy().astype(np.int64)
-        rn = lrn + b["__rnoff"].to_numpy().astype(np.int64)
-        plen = b["__plen"].to_numpy().astype(np.int64)
-        lag = np.where(lrn == 1, b["__prevlast"].to_numpy(),
-                       b["__llag"].to_numpy())
-        lead = np.where(lrn == n, b["__nextfirst"].to_numpy(),
-                        b["__llead"].to_numpy())
-        msum = b["__lmsum"].to_numpy().astype(np.int64)
-        need = np.maximum(W - lrn, 0)
-        take = np.minimum(need, plen)
-        extra = np.zeros(len(b), dtype=np.int64)
+    def finish(b: pa.Table) -> pa.Table:
+        def col(c):
+            return b[c].to_numpy()
+
+        lrn = col("__lrn").astype(np.int64)
+        n = col("__n").astype(np.int64)
+        rn = lrn + col("__rnoff").astype(np.int64)
+        plen = col("__plen").astype(np.int64)
+        lag = np.where(lrn == 1, col("__prevlast"), col("__llag"))
+        lead = np.where(lrn == n, col("__nextfirst"), col("__llead"))
+        take = np.minimum(np.maximum(W - lrn, 0), plen)
+        msum = col("__lmsum").astype(np.int64)
         for j, cname in enumerate(ptail_cols, start=1):
-            pj = b[cname].to_numpy().astype(np.int64)
-            extra += np.where(take >= (W - j), pj, 0)
-        msum = msum + extra
-        b["rn"] = rn
-        b["lag_v"] = lag
-        b["lead_v"] = lead
-        b["msum"] = msum
-        b["mavg"] = msum / np.minimum(rn, W)
-        drop = (["__kb", "__lrn", "__n", "__lmsum", "__llag", "__llead",
-                 "__rnoff", "__prevlast", "__plen", "__nextfirst"]
-                + ptail_cols)
-        return b.drop(columns=[c for c in drop if c in b.columns])
+            msum = msum + np.where(take >= (W - j),
+                                   col(cname).astype(np.int64), 0)
+        out = b.drop_columns(["__bucket", "__lrn", "__n", "__lmsum",
+                              "__llag", "__llead"] + patch_cols)
+        for name, v in (("rn", rn), ("lag_v", lag), ("lead_v", lead),
+                        ("msum", msum), ("mavg", msum / np.minimum(rn, W))):
+            out = out.append_column(name, pa.array(v, from_pandas=True))
+        return out
 
-    return joined.map_batches(finish, batch_format="pandas")
+    return lookup(part, patch_ds, cell, patch_cols,
+                  broadcast_max=shuffle.BROADCAST_MAX) \
+        .map_batches(finish, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -318,30 +316,13 @@ def global_row_number(ds, order_col: str, out_col: str = "rownum",
     numbers, so pass a duplicate-free key for determinism (ids).
 
     Distribution is the pack_sequences shape: ONE constant-key run of
-    ``windows.running_aggregate_bucketed`` (phase-bounded cells,
-    distributed offset join, no driver state) with value 1 — the
-    running count minus one is the row number. ``bucket`` bounds cell
-    size in order_col units ('1s' = 1M per cell for dense id spaces)."""
-    import pandas as pd
+    ``windows.running_aggregate_bucketed`` (phase-bounded cells, offsets
+    mapped back by ``shuffle.lookup``; the driver holds one row per
+    cell, a thousand for 10^9 ids at 1M per cell) with value 1 —
+    the running count minus one is the row number. ``bucket`` bounds
+    cell size in order_col units ('1s' = 1M per cell for dense id
+    spaces). Every other column passes through with its Arrow type."""
     from prompture_ray.stages.windows import running_aggregate_bucketed
-
-    # integer passthrough columns widen to float64 across the pandas
-    # block unification inside the running-aggregate join (exact for
-    # values < 2^53 — ids/counters; pack_sequences re-casts the same
-    # way). Capture them up front to restore dtypes. NB .schema() on a
-    # non-trivial lineage executes it — pass a plain projected read.
-    int_cols = []
-    sch = ds.schema()
-    for n, t in zip(sch.names, sch.types):
-        if isinstance(t, pa.DataType):
-            if pa.types.is_integer(t):
-                int_cols.append(n)
-        else:
-            try:
-                if np.issubdtype(np.dtype(t), np.integer):
-                    int_cols.append(n)
-            except TypeError:
-                pass
 
     def prep(t: pa.Table) -> pa.Table:
         ids = t[order_col]
@@ -366,15 +347,11 @@ def global_row_number(ds, order_col: str, out_col: str = "rownum",
         ds.map_batches(prep, batch_format="pyarrow"),
         "__k", "__ts", "__one", bucket=bucket)
 
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b[out_col] = (b["running_sum"].to_numpy().astype(np.int64) - 1)
-        for c in int_cols:
-            if c in b.columns:
-                b[c] = b[c].to_numpy().astype(np.int64)
-        return b.drop(columns=["__k", "__ts", "__one", "running_sum"])
+    def finish(b: pa.Table) -> pa.Table:
+        return b.drop_columns(["__k", "__ts", "__one", "running_sum"]) \
+            .append_column(out_col, pc.subtract(b["running_sum"], 1))
 
-    return run.map_batches(finish, batch_format="pandas")
+    return run.map_batches(finish, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

@@ -166,10 +166,10 @@ def pack_sequences(ds, id_col: str, count_col: str, budget: int,
 
     Distribution: the GLOBAL ordered prefix sum is the hot part — it
     reuses ``windows.running_aggregate_bucketed`` (phase-bounded cells,
-    distributed offset join, no driver state) with a constant key and
-    the id as the order axis; ``bucket`` (id units, '1s' = 1M ids per
-    cell) bounds cell size for dense id spaces."""
-    import pandas as pd
+    offsets mapped back by ``shuffle.lookup``; the driver holds one row
+    per cell) with a constant key and the id as the order axis;
+    ``bucket`` (id units, '1s' = 1M ids per cell) bounds cell size for
+    dense id spaces."""
     import pyarrow as pa
     import pyarrow.compute as pc
     from prompture_ray.stages.windows import running_aggregate_bucketed
@@ -190,16 +190,14 @@ def pack_sequences(ds, id_col: str, count_col: str, budget: int,
         prep, batch_format="pyarrow"), "__k", "__ts", count_col,
         bucket=bucket)
 
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        prefix = (b["running_sum"].to_numpy().astype(np.int64)
-                  - b[count_col].to_numpy().astype(np.int64))
-        return pd.DataFrame({
-            "id": b[id_col].to_numpy().astype(np.int64),
-            count_col: b[count_col].to_numpy().astype(np.int64),
+    def finish(b: pa.Table) -> pa.Table:
+        prefix = pc.subtract(b["running_sum"], b[count_col])
+        return pa.table({
+            "id": b[id_col], count_col: b[count_col],
             "offset_in_stream": prefix,
-            "bin": prefix // np.int64(budget)})
+            "bin": prefix.to_numpy() // np.int64(budget)})
 
-    return run.map_batches(finish, batch_format="pandas")
+    return run.map_batches(finish, batch_format="pyarrow")
 
 
 def domain_mix_weights(ds, domain_col: str, id_col: str,

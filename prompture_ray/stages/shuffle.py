@@ -32,13 +32,14 @@ Partition-id rule (a result must not depend on block layout):
 - Multi-column keys mix the per-column hashes with the golden-ratio
   combine ``(h * 0x9E3779B97F4A7C15) ^ h_next``.
 
-Lookup rule (``lookup``): a row matches the table row whose key hash
-(``key_hash``, the rule above without the modulo) equals its own. A key
-with any null (or NaN) component never matches, as in a SQL join, and
-a miss gives null payload columns. Payload columns keep their Arrow
-types on both paths (an int64 above 2^53 stays exact). int64 keys
-hash one-to-one, so they match exactly; multi-column and string keys
-match by 64-bit hash (~n^2/2^64 collision odds).
+Lookup rule (``lookup``): a row matches the table row whose key equals
+its own: the probe finds the candidate by key hash (``key_hash``, the
+rule above without the modulo), then compares the key values under the
+same rule (5.0 equals 5), so a hash hit on another key is a miss. Two
+table keys sharing a hash raise ``ValueError``. A key with any null (or
+NaN) component never matches, as in a SQL join, and a miss gives null
+payload columns. Payloads keep their Arrow types on both paths (an
+int64 above 2^53 stays exact).
 """
 
 from __future__ import annotations
@@ -52,8 +53,11 @@ from prompture_ray.functions.sketches import hash64
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _column_hash(col) -> "tuple[np.ndarray, np.ndarray]":
-    """(uint64 hash, null mask) of one key column under the module rule."""
+def _column_key(col) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """(values, uint64 hash, null mask) of one key column under the
+    module rule. Values are int64 for integers, booleans, timestamps
+    (µs) and all-integral float columns, float64 for other floats and
+    Python objects otherwise; null slots hold 0."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     typ = col.type
@@ -64,38 +68,43 @@ def _column_hash(col) -> "tuple[np.ndarray, np.ndarray]":
     null = pc.is_null(col, nan_is_null=True) \
         .to_numpy(zero_copy_only=False)
     if pa.types.is_integer(typ) or pa.types.is_boolean(typ):
-        v = pc.cast(col, pa.int64(), safe=False).fill_null(0)
-        return hash64(v.to_numpy(zero_copy_only=False)), null
-    if pa.types.is_floating(typ):
-        f = pc.cast(col, pa.float64()).fill_null(0) \
+        v = pc.cast(col, pa.int64(), safe=False).fill_null(0) \
             .to_numpy(zero_copy_only=False)
-        with np.errstate(invalid="ignore"):
-            integral = (np.floor(f) == f) & (np.abs(f) < 2.0 ** 63)
-        h = hash64(f)
-        h[integral] = hash64(f[integral].astype(np.int64))
-        return h, null
-    return hash64(np.asarray(col.to_numpy(zero_copy_only=False),
-                             dtype=object)), null
+    elif pa.types.is_floating(typ):
+        v = np.where(null, 0.0, pc.cast(col, pa.float64())
+                     .to_numpy(zero_copy_only=False))
+        integral = (np.floor(v) == v) & (np.abs(v) < 2.0 ** 63)
+        if not integral.all():
+            h = hash64(v)
+            h[integral] = hash64(v[integral].astype(np.int64))
+            return v, h, null
+        v = v.astype(np.int64)
+    else:
+        v = np.asarray(col.to_numpy(zero_copy_only=False), dtype=object)
+    return v, hash64(v), null
 
 
-def key_hash(table: pa.Table, cols: list) -> "tuple[np.ndarray, np.ndarray]":
-    """(uint64 key hash, null mask) per row of ``table`` keyed on
-    ``cols`` (see the module docstring for the rule). A row's mask is
-    set when any key component is null or NaN."""
+def key_hash(table: pa.Table, cols: list):
+    """(uint64 key hash, null mask, per-column ``_column_key`` values)
+    per row of ``table`` keyed on ``cols`` (see the module docstring for
+    the rule). A row's mask is set when any key component is null or
+    NaN."""
     h = None
     null = np.zeros(table.num_rows, dtype=bool)
+    vals = []
     for c in cols:
-        hc, nc = _column_hash(table[c])
+        v, hc, nc = _column_key(table[c])
         h = hc if h is None else (h * _GOLD) ^ hc
         null |= nc
-    return h, null
+        vals.append(v)
+    return h, null, vals
 
 
 def partition_ids(table: pa.Table, cols: list, n_parts: int) -> pa.Array:
     """int64 partition id per row of ``table`` keyed on ``cols``: ids in
     ``[0, n_parts)`` for non-null keys, ``n_parts`` for any row with a
     null key component (see the module docstring for the rule)."""
-    return _pids(*key_hash(table, cols), n_parts)
+    return _pids(*key_hash(table, cols)[:2], n_parts)
 
 
 def _pids(h: np.ndarray, null: np.ndarray, n_parts: int) -> pa.Array:
@@ -131,6 +140,7 @@ def partition_fold(ds, cols: list, fn, *, n_parts: int,
     A pandas ``fn``'s frame comes back as an Arrow block whose integer
     input columns keep their input types (``_unwiden``), so a null key
     or value does not change a column's type in one partition only."""
+    from ray.data.block import BlockAccessor
     cols = list(cols)
 
     def tag(t: pa.Table) -> pa.Table:
@@ -146,25 +156,37 @@ def partition_fold(ds, cols: list, fn, *, n_parts: int,
         if batch_format != "pandas":
             return fn(g)
         # Ray's own pandas -> Arrow block conversion (all-null -> null type)
-        from ray.data.block import BlockAccessor
         out = BlockAccessor.for_block(fn(g.to_pandas())).to_arrow()
-        return _unwiden(out, g.schema)
+        return _unwiden(out, g)
 
     return tagged.groupby("__pb").map_groups(run, batch_format="pyarrow")
 
 
-def _unwiden(t: pa.Table, like: pa.Schema) -> pa.Table:
-    """``t`` with every integer column of ``like`` that pandas widened
+def _unwiden(t: pa.Table, src: pa.Table) -> pa.Table:
+    """``t`` with every integer column of ``src`` that pandas widened
     cast back to its type. An int64 column holding a null (a null key in
     partition ``n_parts``, a null value anywhere) comes out of pandas as
     float64, or as the null type when it is all null, while the same
     column of a partition without nulls stays int64: the blocks of one
-    Dataset would then disagree on the column's type."""
+    Dataset would then disagree on the column's type.
+
+    The float64 detour rounds a value beyond 2^53, and casting it back
+    would make the rounded value look exact: an output column whose
+    ``src`` column holds a null and such a value raises ``ValueError``
+    instead."""
+    like = src.schema
     want = t.schema
     for i, f in enumerate(want):
         j = like.get_field_index(f.name)
-        if j >= 0 and pa.types.is_integer(like.field(j).type) and (
-                pa.types.is_floating(f.type) or pa.types.is_null(f.type)):
+        if j < 0 or not pa.types.is_integer(like.field(j).type):
+            continue
+        col = src.column(j)
+        if col.null_count and max(-(pc.min(col).as_py() or 0),
+                                  pc.max(col).as_py() or 0) > 2 ** 53:
+            raise ValueError(f"column {f.name!r} holds a null and a value "
+                             f"beyond 2^53, which pandas rounds; fold it "
+                             f"on Arrow blocks or fill the nulls first")
+        if pa.types.is_floating(f.type) or pa.types.is_null(f.type):
             want = want.set(i, f.with_type(like.field(j).type))
     return t if want.equals(t.schema) else t.cast(want)
 
@@ -172,22 +194,52 @@ def _unwiden(t: pa.Table, like: pa.Schema) -> pa.Table:
 # ---------------------------------------------------------------------------
 # keyed lookup
 # ---------------------------------------------------------------------------
-def _sorted_side(h: np.ndarray, payload: pa.Table):
-    """The table side of a probe: key hashes ascending, payload rows in
-    the same order."""
+# table rows up to which an operator without its own size knob
+# broadcasts its lookup table (the broadcast_max default elsewhere)
+BROADCAST_MAX = 20_000_000
+
+
+def _concat(parts: list) -> np.ndarray:
+    """Key values over blocks, as exact Python objects where non-empty
+    blocks disagree on the dtype."""
+    parts = [p for p in parts if len(p)]
+    if len({p.dtype for p in parts}) > 1:
+        parts = [p.astype(object) for p in parts]
+    return np.concatenate(parts) if parts else np.empty(0, np.int64)
+
+
+def _sorted_side(h: np.ndarray, keys: list, payload: pa.Table):
+    """The table side of a probe: key hashes ascending, key values and
+    payload rows in the same order. Two table rows sharing a hash could
+    not both be found, so they raise."""
     order = np.argsort(h, kind="stable")
-    return h[order], payload.take(pa.array(order))
+    hs, keys = h[order], [k[order] for k in keys]
+    dup = np.flatnonzero(hs[1:] == hs[:-1])
+    if len(dup):
+        a, b = ([k[j:j + 1].tolist()[0] for k in keys]
+                for j in (dup[0], dup[0] + 1))
+        raise ValueError(f"lookup: table keys {a} and {b} share a key "
+                         f"hash; keep one table row per key")
+    return hs, keys, payload.take(pa.array(order))
 
 
-def _probe(hs: np.ndarray, payload: pa.Table, h: np.ndarray,
-           null: np.ndarray | None = None) -> pa.Table:
-    """``payload`` row of each probe hash in ``h`` (one searchsorted);
-    a null row where the hash is absent or ``null`` is set."""
+def _probe(side, h: np.ndarray, null: np.ndarray, keys: list) -> pa.Table:
+    """``payload`` row of each probe key (one searchsorted on the hash,
+    then a key compare); a null row where the key is absent or ``null``
+    is set."""
+    hs, tkeys, payload = side
     pos = np.searchsorted(hs, h)
     hit = pos < len(hs)
     hit[hit] = hs[pos[hit]] == h[hit]
-    if null is not None:
-        hit &= ~null
+    hit &= ~null
+    at = pos[hit]
+    same = np.ones(len(at), dtype=bool)
+    for k, tk in zip(keys, tkeys):
+        k, tk = k[hit], tk[at]
+        if k.dtype != tk.dtype:
+            k, tk = k.astype(object), tk.astype(object)
+        same &= np.asarray(k == tk, dtype=bool)
+    hit[hit] = same
     return payload.take(pa.array(pos, type=pa.int64(), mask=~hit))
 
 
@@ -212,18 +264,19 @@ def lookup(ds, table, on: list, values: list, *, broadcast_max: int,
     most one row per key. Rows keep their columns and are neither
     dropped nor repeated (their order may change on the bucketed path).
 
-    Contract (the module docstring's lookup rule): keys hash with
-    ``key_hash``; a key with any null component never matches; a miss
-    or a null key gives null ``values``; payloads keep their Arrow
-    types on both paths; int64 keys match exactly, multi-column and
-    string keys by 64-bit hash.
+    Contract (the module docstring's lookup rule): keys match exactly
+    (hash, then key compare); a key with any null component never
+    matches; a miss or a null key gives null ``values``; payloads keep
+    their Arrow types on both paths; two table rows sharing a key hash
+    raise ``ValueError``.
 
-    Size dispatch, one probe (hash-sorted table, one ``searchsorted``
-    per batch) on both paths:
+    Size dispatch, one probe (hash-sorted table with its key values,
+    one ``searchsorted`` per batch) on both paths:
 
     - up to ``broadcast_max`` table rows, the table is collected once,
       sorted by key hash and shared with ``ray.put``; rows never
-      shuffle.
+      shuffle. The driver peaks near 4x the table's key, hash and
+      payload bytes while it builds the sorted side.
     - beyond that, both sides are tagged with their key hash and
       ``partition_ids`` bucket (of ``n_buckets``), unioned as Arrow
       blocks (so payload types survive the union) and the same probe
@@ -232,68 +285,64 @@ def lookup(ds, table, on: list, values: list, *, broadcast_max: int,
     import ray
 
     on, values = list(on), list(values)
-    empty = pa.schema(list(zip(values, _arrow_types(table, values)))) \
+    tmp = [f"__v{i}" for i in range(len(values))]
+    tkey = [f"__rk{i}" for i in range(len(on))]
+    empty = pa.schema(list(zip(tmp, _arrow_types(table, values)))) \
         .empty_table()
 
-    def keyed(t: pa.Table):
-        """(key hash, bucket, payload) of the non-null keys of a block
-        of ``table`` — a null key never matches."""
-        h, null = key_hash(t, on)
+    def tag_table(t: pa.Table) -> pa.Table:
+        # hashed block by block: a block's key type may differ (an int
+        # key null-widened to float64), its hash does not; a null key
+        # never matches, so its row is dropped
+        h, null, _ = key_hash(t, on)
         keep = ~null
-        return (h[keep], _pids(h[keep], null[keep], n_buckets),
-                t.select(values).filter(pa.array(keep)))
+        return pa.Table.from_arrays(
+            t.select(values).columns + t.select(on).columns,
+            tmp + tkey).filter(pa.array(keep)) \
+            .append_column("__rh", pa.array(h[keep])) \
+            .append_column("__pb", _pids(h[keep], null[keep], n_buckets))
+
+    def side(parts: list):
+        """The probe's table side from ``tag_table`` rows."""
+        return _sorted_side(
+            _concat([p["__rh"].to_numpy() for p in parts]).astype(np.uint64),
+            [_concat([_column_key(p[c])[0] for p in parts]) for c in tkey],
+            pa.concat_tables([p.select(tmp) for p in parts] or [empty],
+                             promote_options="default")
+            .rename_columns(values))
 
     if table.count() <= broadcast_max:
-        # hashed block by block: a block's key type may differ (an int
-        # key null-widened to float64), its hash does not
-        hs, parts = [np.empty(0, dtype=np.uint64)], []
-        for t in table.iter_batches(batch_size=None,
-                                    batch_format="pyarrow"):
-            h, _, payload = keyed(t)
-            hs.append(h)
-            parts.append(payload)
-        ref = ray.put(_sorted_side(
-            np.concatenate(hs),
-            pa.concat_tables(parts or [empty], promote_options="default")))
+        ref = ray.put(side([tag_table(t) for t in table.iter_batches(
+            batch_size=None, batch_format="pyarrow")]))
         cache = {}
 
         def attach(b: pa.Table) -> pa.Table:
             # deserialize the table side once per worker, not per batch
             if "side" not in cache:
                 cache["side"] = ray.get(ref)
-            return _append(b, _probe(*cache["side"], *key_hash(b, on)))
+            return _append(b, _probe(cache["side"], *key_hash(b, on)))
 
         return ds.map_batches(attach, batch_format="pyarrow")
 
-    tmp = [f"__v{i}" for i in range(len(values))]
-
     def tag_rows(b: pa.Table) -> pa.Table:
-        h, null = key_hash(b, on)
+        h, null, _ = key_hash(b, on)
         return b.append_column("__lh", pa.array(h)) \
             .append_column("__pb", _pids(h, null, n_buckets))
-
-    def tag_table(t: pa.Table) -> pa.Table:
-        h, pid, payload = keyed(t)
-        return payload.rename_columns(tmp) \
-            .append_column("__rh", pa.array(h)) \
-            .append_column("__pb", pid)
 
     def per_bucket(g: pa.Table) -> pa.Table:
         # each side's rows are the ones whose own hash column is set;
         # a block may lack one side's columns altogether (Ray skips the
         # column-less empty result in every later map, sort and union)
+        # built first: a bucket without rows still checks its table
+        # keys for a shared hash, as the broadcast path does
+        found = side([g.filter(pc.is_valid(g["__rh"]))]
+                     if "__rh" in g.column_names else [])
         if "__lh" not in g.column_names:
             return pa.table({})
         rows = g.filter(pc.is_valid(g["__lh"]))
-        if "__rh" in g.column_names:
-            side = g.filter(pc.is_valid(g["__rh"]))
-            hs, payload = _sorted_side(
-                side["__rh"].to_numpy(),
-                side.select(tmp).rename_columns(values))
-        else:
-            hs, payload = np.empty(0, dtype=np.uint64), empty
-        got = _probe(hs, payload, rows["__lh"].to_numpy())
-        drop = {"__lh", "__rh", "__pb", *tmp}
+        _, null, keys = key_hash(rows, on)
+        got = _probe(found, rows["__lh"].to_numpy(), null, keys)
+        drop = {"__lh", "__rh", "__pb", *tmp, *tkey}
         return _append(rows.drop_columns(
             [c for c in rows.column_names if c in drop]), got)
 

@@ -19,7 +19,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from prompture_ray.stages.shuffle import partition_fold
+from prompture_ray.stages import shuffle
+from prompture_ray.stages.shuffle import lookup, partition_fold
 
 
 # hash partitions of the (key, bucket) cells in the bucketed forms
@@ -27,26 +28,36 @@ _CELL_PARTS = 64
 
 
 def _cell_tagger(key_col: str, ts_col: str,
-                 bucket: "pd.Timedelta | str", with_kb: bool):
+                 bucket: "pd.Timedelta | str", drop_null_key: bool):
     """map_batches fn appending ``__bucket`` (``ts_col`` floored to
-    ``bucket``, int64 µs) and, with ``with_kb``, the ``__kb``
-    ``"key|bucket"`` cell id an offset join matches on. A null key has
-    no cell id to join on, so ``with_kb`` drops null-key rows (the
-    plain forms group them)."""
+    ``bucket``, int64 µs). A null key has no cell to look a per-cell
+    table up in, so ``drop_null_key`` drops null-key rows (the plain
+    forms group them)."""
     bucket_us = int(pd.Timedelta(bucket).total_seconds() * 1e6)
 
     def tag(t: pa.Table) -> pa.Table:
-        if with_kb and t[key_col].null_count:
+        if drop_null_key and t[key_col].null_count:
             t = t.filter(pc.is_valid(t[key_col]))
         us = pc.cast(pc.cast(t[ts_col], pa.timestamp("us")), pa.int64())
-        b = pc.multiply(pc.divide(us, bucket_us), bucket_us)
-        t = t.append_column("__bucket", b)
-        if with_kb:
-            t = t.append_column("__kb", pc.binary_join_element_wise(
-                pc.cast(t[key_col], pa.string()), pc.cast(b, pa.string()),
-                "|"))
-        return t
+        return t.append_column(
+            "__bucket", pc.multiply(pc.divide(us, bucket_us), bucket_us))
     return tag
+
+
+def _cell_fold(by: list, cols: list, compute):
+    """Arrow ``partition_fold`` fn: ``compute`` gets a pandas frame of
+    only ``by`` + ``cols``, stably sorted on ``by``; the columns it
+    returns (a name -> Series dict) are appended to the Arrow rows
+    taken in that order. Passthrough columns never meet pandas, so a
+    nullable int64 above 2^53 stays exact."""
+    def fold(g: pa.Table) -> pa.Table:
+        df = g.select(list(dict.fromkeys(by + cols))).to_pandas() \
+            .sort_values(by, kind="mergesort")
+        out = g.take(pa.array(df.index.to_numpy()))
+        for name, col in compute(df).items():
+            out = out.append_column(name, pa.Array.from_pandas(col))
+        return out
+    return fold
 
 
 def tumbling_window(ds, ts_col: str, keys: list[str], unit: str = "hour",
@@ -130,79 +141,66 @@ def running_aggregate_bucketed(ds, key_col: str, ts_col: str,
     bounds group size by (key × coarse time bucket):
 
     phase 1 — ``shuffle.partition_fold`` on (key, bucket) (bounded
-    frames, ~thousands of (key, bucket) cells per frame) and compute every
-    cell's local cumsum with ONE vectorized pandas groupby-cumsum — no
-    frame-per-cell overhead (the naive groupby((key, bucket)) form paid
-    a pandas frame per tiny cell and was ~10× slower);
-    phase 2 — per-(key, bucket) sums via a vectorized partial + sorted
-    aggregate, then per-key exclusive prefix over those few summary
-    rows → an offset per (key, bucket);
-    phase 3 — hash-bucketed join of data rows × offsets on the combined
-    (key, bucket) id, then one vectorized add. No driver state at any
-    phase — the offsets stay a Dataset.
+    frames, ~thousands of cells per frame): ONE vectorized pandas
+    groupby-cumsum gives every cell's local cumsum (``_cell_fold``; the
+    naive frame-per-cell form was ~10× slower);
+    phase 2 — per-batch per-cell partial sums, then ONE
+    ``partition_fold`` on the key sums every cell and takes each key's
+    exclusive prefix over its cells → an offset per (key, bucket);
+    phase 3 — ``shuffle.lookup`` maps the offsets back by (key, bucket),
+    then one Arrow add. Up to ``shuffle.BROADCAST_MAX`` cells the driver
+    collects and broadcasts them (~150 B per cell at its peak, ~3 GB at
+    the 20M limit) and rows never shuffle again; beyond it the offsets
+    stay distributed (hash buckets).
 
     Ties within (key, ts) accumulate in input order inside a bucket like
-    the plain form. Equality against ``running_aggregate`` is pinned by
-    test; the oracle is a SQL window cumsum. Null-key rows are dropped:
-    they have no (key, bucket) id for the phase-3 join.
+    the plain form (equality pinned by test; the oracle is a SQL window
+    cumsum). Passthrough columns keep their Arrow types. Null-key rows
+    are dropped: they have no cell to look an offset up for.
 
-    Block-count hazard (round-5): the phase-1 groupby and the phase-3
-    join inherit the INPUT's block count — a 1500-block input made a
-    9M-row run >20x slower than a 128-block one. Callers with
-    many-fragment inputs should coalesce first (``repartition(
-    max(64, rows/500k))`` — see ``analytic.global_row_number``)."""
-    from ray.data.aggregate import Sum
-    from prompture_ray.stages.joins import bucketed_equi_join
+    Block-count hazard (round-5): the phase-1 groupby (and a bucketed
+    lookup) inherits the INPUT's block count — a 1500-block input made
+    a 9M-row run >20x slower than a 128-block one. Coalesce
+    many-fragment inputs first (``repartition(max(64, rows/500k))`` —
+    see ``analytic.global_row_number``)."""
+    cell = [key_col, "__bucket"]
     tagged = ds.map_batches(_cell_tagger(key_col, ts_col, bucket, True),
                             batch_format="pyarrow")
 
-    def local(g: pd.DataFrame) -> pd.DataFrame:
-        # ONE vectorized pass over all (key, bucket) cells in this
-        # partition: stable sort then grouped cumsum
-        g = g.sort_values([key_col, "__bucket", ts_col], kind="mergesort")
-        g["__local_cum"] = g.groupby([key_col, "__bucket"],
-                                     sort=False)[value_col].cumsum()
-        return g
+    def local(df: pd.DataFrame) -> dict:
+        return {"__local_cum": df.groupby(cell, sort=False)[value_col]
+                .cumsum()}
 
-    part = partition_fold(tagged, [key_col, "__bucket"], local,
-                          n_parts=_CELL_PARTS).materialize()
+    part = partition_fold(
+        tagged, cell, _cell_fold(cell + [ts_col], [value_col], local),
+        n_parts=_CELL_PARTS, batch_format="pyarrow").materialize()
 
-    # phase 2: per-(key, bucket) sums — per-batch vectorized partials,
-    # then one sorted aggregate over the (small) partial rows
-    def partial_sums(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby([key_col, "__bucket"], sort=False) \
-            .agg(__part_sum=(value_col, "sum")).reset_index()
-
-    sums = part.map_batches(partial_sums, batch_format="pandas") \
-        .groupby([key_col, "__bucket"]) \
-        .aggregate(Sum("__part_sum", alias_name="__bucket_sum"))
+    # phase 2: per-batch per-cell partials, then one fold per key
+    def partial_sums(b: pa.Table) -> pa.Table:
+        s = b.group_by(cell).aggregate([(
+            value_col, "sum", pc.ScalarAggregateOptions(min_count=0))])
+        return pa.table({key_col: s[key_col], "__bucket": s["__bucket"],
+                         "__part_sum": s[f"{value_col}_sum"]})
 
     def prefix(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("__bucket", kind="mergesort").copy()
-        g["__offset"] = g["__bucket_sum"].cumsum() - g["__bucket_sum"]
-        # reconstruct the combined id exactly as _cell_tagger built it
-        g["__kb"] = (g[key_col].astype(str) + "|"
-                     + g["__bucket"].astype("int64").astype(str))
-        return g[["__kb", "__offset"]]
+        g = g.groupby(cell)["__part_sum"].sum().reset_index()
+        g["__offset"] = (g.groupby(key_col, sort=False)["__part_sum"]
+                         .cumsum() - g["__part_sum"])
+        return g[cell + ["__offset"]]
 
-    # materialized: the join probes .schema() on its inputs, and an
-    # unmaterialized offsets side would re-run the whole sums pipeline
-    # per probe (the minhash .schema() pitfall)
-    offs = sums.groupby(key_col).map_groups(
-        prefix, batch_format="pandas").materialize()
+    # materialized: lookup counts and collects its table
+    offs = partition_fold(
+        part.map_batches(partial_sums, batch_format="pyarrow"),
+        [key_col], prefix, n_parts=_CELL_PARTS).materialize()
 
-    # phase 3: join offsets back and add (one narrow shuffle each side)
-    joined = bucketed_equi_join(
-        part, offs, key="__kb",
-        left_cols=[c for c in part.schema().names if c != "__bucket"],
-        right_cols=["__kb", "__offset"])
+    def finish(b: pa.Table) -> pa.Table:
+        total = pc.add(b["__local_cum"], b["__offset"])
+        return b.drop_columns(["__bucket", "__local_cum", "__offset"]) \
+            .append_column("running_sum", total)
 
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["running_sum"] = b["__local_cum"] + b["__offset"]
-        return b.drop(columns=["__kb", "__local_cum", "__offset"])
-
-    return joined.map_batches(finish, batch_format="pandas")
+    return lookup(part, offs, cell, ["__offset"],
+                  broadcast_max=shuffle.BROADCAST_MAX) \
+        .map_batches(finish, batch_format="pyarrow")
 
 
 def session_windows_bucketed(ds, key_col: str, ts_col: str,
@@ -218,10 +216,10 @@ def session_windows_bucketed(ds, key_col: str, ts_col: str,
     bucket) cell at once (new session at cell change or gap > ``gap``)
     and emits SESSION rows (one per session, not per event) — no
     frame-per-cell overhead;
-    phase 2 — groupby (key) over the session rows only: classic
-    gap-merge of adjacent sessions across bucket boundaries (sessions
-    per key ≪ events per key, so the phase-2 group is tiny even for a
-    key whose raw history is unbounded).
+    phase 2 — ``partition_fold`` on the key over the session rows only
+    (sessions per key ≪ events per key): ONE vectorized gap-merge of
+    adjacent sessions across bucket boundaries for every key of a
+    partition.
 
     Exactly equivalent to ``session_windows``: within-bucket gaps are
     handled locally, cross-bucket gaps by comparing a session's end with
@@ -250,25 +248,23 @@ def session_windows_bucketed(ds, key_col: str, ts_col: str,
         [key_col, "__bucket"], local_sessions, n_parts=_CELL_PARTS)
 
     def stitch(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("session_start", kind="mergesort")
-        rows = []
-        for r in g.itertuples(index=False):
-            if rows and (r.session_start - rows[-1]["session_end"]
-                         <= gap_td):
-                rows[-1]["session_end"] = max(rows[-1]["session_end"],
-                                              r.session_end)
-                rows[-1]["n_events"] += r.n_events
-            else:
-                rows.append({"session_start": r.session_start,
-                             "session_end": r.session_end,
-                             "n_events": int(r.n_events)})
-        out = pd.DataFrame(rows)
-        out.insert(0, key_col, g[key_col].iloc[0])
-        out.insert(1, "session_id", np.arange(len(out), dtype=np.int64))
+        # a session merges into the one before it unless it is its key's
+        # first or starts more than ``gap`` after the key's latest end so
+        # far (sorted by start, that end is the current merged session's)
+        g = g.sort_values([key_col, "session_start"], kind="mergesort")
+        grp = g.groupby(key_col, sort=False, dropna=False)
+        latest = grp["session_end"].cummax().shift()
+        new = grp.cumcount().eq(0) | (g["session_start"] - latest > gap_td)
+        out = g.groupby(new.cumsum().to_numpy()).agg(
+            **{key_col: (key_col, "first")},
+            session_start=("session_start", "min"),
+            session_end=("session_end", "max"),
+            n_events=("n_events", "sum")).reset_index(drop=True)
+        out.insert(1, "session_id", out.groupby(
+            key_col, sort=False, dropna=False).cumcount().astype(np.int64))
         return out
 
-    return partial.groupby(key_col).map_groups(stitch,
-                                               batch_format="pandas")
+    return partition_fold(partial, [key_col], stitch, n_parts=_CELL_PARTS)
 
 
 def session_counts_bucketed(ds, key_col: str, ts_col: str,

@@ -136,6 +136,50 @@ def test_lookup_paths_agree_on_two_column_and_string_keys(ray_session):
         ("z", 1, None)]
 
 
+# 0.5's float64 bits read as an int64: its hash is this int's hash
+HALF_BITS = int(np.array([0.5]).view(np.int64)[0])
+
+
+@pytest.mark.parametrize("bmax", [20, 0])
+def test_lookup_hash_match_on_another_key_is_a_miss(ray_session, bmax):
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import key_hash, lookup
+    rows = pa.table({"k": [0.5, 2.0, 3.5]})
+    table = pa.table({"k": pa.array([HALF_BITS, 2], pa.int64()),
+                      "v": pa.array([10, 20], pa.int64())})
+    assert key_hash(rows, ["k"])[0][0] == key_hash(table, ["k"])[0][0]
+    out = lookup(rd.from_arrow(rows), rd.from_arrow(table), ["k"], ["v"],
+                 broadcast_max=bmax)
+    assert sorted((r["k"], r["v"]) for r in out.take_all()) == [
+        (0.5, None), (2.0, 20), (3.5, None)]
+
+
+@pytest.mark.parametrize("bmax", [20, 0])
+def test_lookup_table_keys_sharing_a_hash_raise(ray_session, bmax):
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import lookup
+    rows = rd.from_arrow(pa.table({"k": [0.5]}))
+    for keys, match in (([0.5, float(HALF_BITS)], r"\[0.5\] and \[4.6"),
+                        ([5.0, 5.0], r"\[5\] and \[5\] share")):
+        table = rd.from_arrow(pa.table({"k": keys, "v": [1, 2]}))
+        with pytest.raises(Exception, match=match):
+            lookup(rows, table, ["k"], ["v"],
+                   broadcast_max=bmax).materialize()
+
+
+def test_unwiden_refuses_a_rounded_int():
+    from prompture_ray.stages.shuffle import _unwiden
+    src = pa.table({"w": pa.array([2**61 + 1, None], pa.int64()),
+                    "v": pa.array([3, None], pa.int64())})
+    out = pa.Table.from_pandas(src.to_pandas())
+    assert out.schema.field("w").type == pa.float64()
+    with pytest.raises(ValueError, match="column 'w' holds a null"):
+        _unwiden(out, src)
+    back = _unwiden(out.drop_columns(["w"]), src)
+    assert back.schema.field("v").type == pa.int64()
+    assert back["v"].to_pylist() == [3, None]
+
+
 @pytest.mark.parametrize("bmax", [20_000_000, 0])
 def test_group_prior_null_key_raises_on_both_paths(ray_session, bmax):
     import ray.data as rd
@@ -184,6 +228,20 @@ def _blocks(with_null: bool, one_block: bool) -> list:
     return [pa.concat_tables(blocks)] if one_block else blocks
 
 
+def _bucketed_lookup(op):
+    """``op`` built with ``shuffle.BROADCAST_MAX`` at 0, so the lookup
+    it dispatches while being built takes the bucketed path."""
+    from prompture_ray.stages import shuffle
+
+    def run(ds):
+        old, shuffle.BROADCAST_MAX = shuffle.BROADCAST_MAX, 0
+        try:
+            return op(ds)
+        finally:
+            shuffle.BROADCAST_MAX = old
+    return run
+
+
 def _ops():
     from prompture_ray.stages import (analytic as an, groupstats as gs,
                                       intervals as iv, userpath as up,
@@ -210,9 +268,15 @@ def _ops():
             ds, "k", "v", 2, "tie"),
         "analytic_window_bucketed": lambda ds: an.analytic_window_bucketed(
             ds, "k", "ts", "tie", "v", window=3, bucket="1d"),
+        "analytic_window_bucketed_bmax0": _bucketed_lookup(
+            lambda ds: an.analytic_window_bucketed(
+                ds, "k", "ts", "tie", "v", window=3, bucket="1d")),
         "running_aggregate_bucketed":
             lambda ds: wn.running_aggregate_bucketed(
                 ds, "k", "ts", "v", bucket="1d"),
+        "running_aggregate_bucketed_bmax0": _bucketed_lookup(
+            lambda ds: wn.running_aggregate_bucketed(
+                ds, "k", "ts", "v", bucket="1d")),
         "session_windows_bucketed": lambda ds: wn.session_windows_bucketed(
             ds, "k", "ts", gap="7h", bucket="1d"),
         "grouped_outliers": lambda ds: gs.grouped_outliers(
@@ -279,7 +343,8 @@ def test_fold_is_layout_independent_with_a_null_key(ray_session, op):
 
 @pytest.mark.parametrize("op", ["cusum_flags", "grouped_quantiles",
                                 "grouped_weighted_quantiles",
-                                "ntile_by_key", "rolling_anomaly"])
+                                "ntile_by_key", "rolling_anomaly",
+                                "session_windows_bucketed"])
 def test_pandas_fold_blocks_keep_the_key_type(ray_session, op):
     """Every output block of a pandas fold, the null-key partition's
     included, carries the int64 key as int64 (pandas turns a key column
@@ -291,3 +356,44 @@ def test_pandas_fold_blocks_keep_the_key_type(ray_session, op):
     out = pa.concat_tables(blocks, promote_options="default")
     assert out.schema.field("k").type == pa.int64()
     assert out["k"].null_count == 1
+
+
+WINDOW_OPS = ["analytic_window_bucketed", "analytic_window_bucketed_bmax0",
+              "running_aggregate_bucketed",
+              "running_aggregate_bucketed_bmax0"]
+
+
+def _arrow(ds) -> pa.Table:
+    """The Dataset's blocks concatenated strictly: a column whose type
+    differs between blocks raises."""
+    import ray
+    return pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()],
+                            promote_options="default")
+
+
+@pytest.mark.parametrize("op", WINDOW_OPS)
+def test_bucketed_window_blocks_keep_the_passthrough_type(ray_session, op):
+    """The bucketed window ops look their per-cell table up on Arrow
+    blocks, so the nullable int64 ``w`` stays int64 in every block."""
+    import ray.data as rd
+    out = _arrow(_ops()[op](rd.from_arrow(_blocks(True, False))))
+    assert out.schema.field("w").type == pa.int64()
+    assert out.schema.field("k").type == pa.int64()
+
+
+@pytest.mark.parametrize("op", WINDOW_OPS)
+def test_bucketed_window_passthrough_above_2_53(ray_session, op):
+    """A nullable int64 passthrough above 2^53 comes back exact, on the
+    broadcast and the bucketed lookup path."""
+    import ray.data as rd
+    big = 2**61 + 1
+    blocks = []
+    for i in (np.arange(24), np.arange(24, 48)):
+        t = _table(i)
+        w = pa.array([None if j % 3 == 0 else big + j for j in i.tolist()],
+                     pa.int64())
+        blocks.append(t.set_column(t.schema.get_field_index("w"), "w", w))
+    out = _arrow(_ops()[op](rd.from_arrow(blocks)))
+    assert out.schema.field("w").type == pa.int64()
+    assert dict(zip(out["tie"].to_pylist(), out["w"].to_pylist())) == {
+        j: None if j % 3 == 0 else big + j for j in range(48)}

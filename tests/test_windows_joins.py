@@ -218,6 +218,41 @@ def test_session_windows_bucketed_equals_single_group(ray_session):
                 pd.Series(bucketed[c]).reset_index(drop=True)).all(), c
 
 
+def test_session_windows_bucketed_merges_null_key_sessions(ray_session):
+    """The null key is one more key: its sessions, several of them
+    spanning bucket boundaries, merge exactly as in the one-group form."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd
+    from prompture_ray.stages.windows import (
+        session_windows, session_windows_bucketed)
+
+    rng = np.random.RandomState(5)
+    keys, ts = [], []
+    for uid in (1, None, 2):
+        t = pd.Timestamp("2024-05-01")
+        for _ in range(40):
+            t += pd.Timedelta(minutes=int(rng.choice([5, 25, 50, 300])))
+            keys.append(uid)
+            ts.append(t)
+    order = rng.permutation(len(keys))
+    table = pa.table({"k": pa.array(keys, pa.int64()),
+                      "ts": pa.array(ts, pa.timestamp("us"))}).take(order)
+    ds = rd.from_arrow([table.slice(0, 50), table.slice(50)])
+
+    def rows(out):
+        return sorted(((-1 if r["k"] is None or r["k"] != r["k"]
+                        else int(r["k"]), r["session_id"],
+                        r["session_start"], r["session_end"],
+                        r["n_events"]) for r in out.take_all()))
+
+    single = rows(session_windows(ds, "k", "ts", gap="30min"))
+    assert sum(1 for r in single if r[0] == -1) > 3
+    assert rows(session_windows_bucketed(ds, "k", "ts", gap="30min",
+                                         bucket="6h")) == single
+
+
 def test_broadcast_interval_join(ray_session):
     import pandas as pd
     import ray.data as rd
