@@ -83,6 +83,16 @@ def _col_hashes(batch: pa.Table, col: str) -> "np.ndarray":
     return hash_arrow_column(batch[col])
 
 
+def _non_null_keys(fragments, col: str):
+    """``col`` of ``fragments`` without its nulls. The fused unique and
+    referential checks hash keys with ``hash_arrow_column``, which skips
+    nulls, so their scale fallbacks drop them too: a null key is neither
+    a duplicate nor a missing reference (``not_null`` checks count it)."""
+    import ray.data as rd
+    return rd.read_parquet(fragments, columns=[col]).map_batches(
+        lambda t: t.filter(pc.is_valid(t[col])), batch_format="pyarrow")
+
+
 class ValidateAndSink:
     """Fused validate + violation-sink + sketch + uniqueness/referential
     partial stage — ONE linear scan carries the whole suite.
@@ -662,8 +672,8 @@ def run_suite(
             # scale fallback: hash-partitioned groupby
             from prompture_ray.stages.table_checks import duplicate_keys
             for c in unique_checks:
-                narrow = rd.read_parquet(fragments, columns=[c.column])
-                dups = duplicate_keys(narrow, c.column).to_pandas()
+                dups = duplicate_keys(_non_null_keys(fragments, c.column),
+                                      c.column).to_pandas()
                 extra = int((dups["n"] - 1).sum()) if len(dups) else 0
                 table_results[c.id] = {
                     "kind": "unique", "column": c.column,
@@ -683,7 +693,7 @@ def run_suite(
                         "kind": "referential",
                         "error": f"ref table {c.ref_table} not provided"}
                     continue
-                narrow = rd.read_parquet(fragments, columns=[c.column])
+                narrow = _non_null_keys(fragments, c.column)
                 right = rd.read_parquet(
                     list_fragments(ref_path) if Path(ref_path).is_dir()
                     else ref_path, columns=[c.ref_column or c.column])

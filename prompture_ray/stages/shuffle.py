@@ -1,6 +1,7 @@
 """Hash partitioning on a key: the one place a key value becomes a
-hash or a partition id, the per-key fold built on it, and the keyed
-lookup that maps a per-key table back onto rows.
+hash or a partition id, the per-key fold built on it, the grouped
+aggregate built on the fold, and the keyed lookup that maps a per-key
+table back onto rows.
 
 Most per-key operators in ``stages/`` share one scale shape:
 hash-partition the rows on the key so every key lands wholly in one
@@ -10,7 +11,11 @@ frame per key, no driver state). ``partition_fold`` is that shape;
 The other common shape attaches a per-key aggregate (a group prior,
 quantile bounds, a term total) back to every row: ``lookup`` does it
 with one size dispatch — a small table is broadcast, a large one meets
-the rows in ``partition_ids`` buckets — and one probe for both.
+the rows in ``partition_ids`` buckets — and one probe for both. The
+third shape is the grouped count/sum/min/max: ``aggregate`` combines
+each batch with one Arrow ``group_by`` and merges the partials in a
+``partition_fold`` with one more per partition, where Ray's
+``groupby().aggregate`` walks every row in Python.
 
 Partition-id rule (a result must not depend on block layout):
 
@@ -40,6 +45,13 @@ table keys sharing a hash raise ``ValueError``. A key with any null (or
 NaN) component never matches, as in a SQL join, and a miss gives null
 payload columns. Payloads keep their Arrow types on both paths (an
 int64 above 2^53 stays exact).
+
+Aggregate rule (``aggregate``, Ray's where they agree): a null key is
+its own group, and a NaN key is a group apart from null (both go to
+partition ``n_parts``); ``sum``, ``min`` and ``max`` skip nulls and
+give null for an all-null group; ``count`` counts rows; integer sums
+stay exact int64. Output blocks are Arrow, keys then outputs, and NOT
+sorted by key: a consumer that needs key order sorts.
 """
 
 from __future__ import annotations
@@ -139,7 +151,8 @@ def partition_fold(ds, cols: list, fn, *, n_parts: int,
 
     A pandas ``fn``'s frame comes back as an Arrow block whose integer
     input columns keep their input types (``_unwiden``), so a null key
-    or value does not change a column's type in one partition only."""
+    or value does not change a column's type in one partition only, and
+    without pandas schema metadata."""
     from ray.data.block import BlockAccessor
     cols = list(cols)
 
@@ -155,9 +168,11 @@ def partition_fold(ds, cols: list, fn, *, n_parts: int,
         g = g.drop_columns(["__pb"])
         if batch_format != "pandas":
             return fn(g)
-        # Ray's own pandas -> Arrow block conversion (all-null -> null type)
+        # Ray's own pandas -> Arrow block conversion (all-null -> null type);
+        # the b"pandas" metadata would make the schema unhashable, which
+        # sends Ray's schema unification down its slow path
         out = BlockAccessor.for_block(fn(g.to_pandas())).to_arrow()
-        return _unwiden(out, g)
+        return _unwiden(out, g).replace_schema_metadata(None)
 
     return tagged.groupby("__pb").map_groups(run, batch_format="pyarrow")
 
@@ -189,6 +204,45 @@ def _unwiden(t: pa.Table, src: pa.Table) -> pa.Table:
         if pa.types.is_floating(f.type) or pa.types.is_null(f.type):
             want = want.set(i, f.with_type(like.field(j).type))
     return t if want.equals(t.schema) else t.cast(want)
+
+
+# ---------------------------------------------------------------------------
+# grouped aggregate
+# ---------------------------------------------------------------------------
+# how the partials of each aggregate merge
+_MERGE = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
+# the auto_n_parts floor; counting a mapped input would execute it
+AGG_PARTS = 64
+
+
+def _group(t: pa.Table, keys: list, specs: list) -> pa.Table:
+    """``t`` grouped on ``keys``: the key columns, then one column per
+    ``(name, fn, col)`` of ``specs`` (``col`` None counts rows)."""
+    g = t.group_by(keys, use_threads=False).aggregate(
+        [([], "count_all") if col is None else (col, fn)
+         for _, fn, col in specs])
+    vals = [c for n, c in zip(g.column_names, g.columns) if n not in keys]
+    return pa.Table.from_arrays(g.select(keys).columns + vals,
+                                keys + [name for name, _, _ in specs])
+
+
+def aggregate(ds, keys: list, **outs):
+    """Group ``ds`` on ``keys``; each ``outs`` entry ``name=(fn, col)``
+    adds column ``name`` with ``fn`` (``count``, ``sum``, ``min`` or
+    ``max``) of ``col`` per group; ``("count", None)`` counts rows.
+
+    Each batch is combined with one Arrow ``group_by``, and a
+    ``partition_fold`` (``AGG_PARTS`` partitions) merges the partials
+    with one more per partition (counts and sums add, minima and
+    maxima fold). Null, order and type contract: the module
+    docstring's aggregate rule."""
+    keys = list(keys)
+    specs = [(name, fn, col) for name, (fn, col) in outs.items()]
+    merge = [(name, _MERGE[fn], name) for name, fn, _ in specs]
+    partials = ds.map_batches(lambda t: _group(t, keys, specs),
+                              batch_format="pyarrow")
+    return partition_fold(partials, keys, lambda g: _group(g, keys, merge),
+                          n_parts=AGG_PARTS, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

@@ -3,61 +3,57 @@
 These are the wide (shuffle) operations of the suite — kept on narrow
 projected columns so the exchange moves keys, not pages (SURVEY §7.3).
 
-- uniqueness: per-batch partial value counts (combiner) → small
-  ``groupby(key).sum`` → keys with count > 1. Pre-aggregation inside
-  ``map_batches`` bounds the shuffle to distinct-keys-per-block rows.
+- uniqueness: ``shuffle.aggregate`` counts rows per key (each batch is
+  pre-combined with one Arrow ``group_by``, so the shuffle moves
+  distinct-keys-per-block rows) → keys with count > 1.
 - referential (url → warc record): the reference's nearest analog is the
   KG entity lookup (reference prompture/kg/core.py:63-76,150-182);
   distributed it becomes an anti-join. Two strategies:
     * broadcast: right side small → ``ray.put`` a sorted key-hash array
       once; each batch does a vectorized ``searchsorted`` membership test —
-      no shuffle at all.
-    * partitioned: both sides large → hash-bucket both on the key,
-      ``groupby(bucket).map_groups`` computes the per-bucket set
-      difference. One narrow shuffle of the two key columns.
-  A Bloom prefilter (``functions.sketches.Bloom``) can cut the partitioned
-  path's left volume; with the broadcast path it is unnecessary.
+      no shuffle of the rows.
+    * partitioned: both sides large → both meet in ``partition_ids``
+      buckets, where left keys are compared with the right keys by value.
+      One narrow shuffle of the two key columns.
+  Both paths hash keys under ``shuffle``'s key rule (5.0 meets 5), keep
+  the left key's type and count the missing keys with
+  ``shuffle.aggregate`` (a null left key is missing, as in SQL's
+  NOT EXISTS). A Bloom prefilter (``functions.sketches.Bloom``) can cut
+  the partitioned path's right volume; with the broadcast path it is
+  unnecessary.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ray.data.aggregate import Sum
 
-from prompture_ray.functions.sketches import hash64
+from prompture_ray.stages.shuffle import aggregate, key_hash, partition_ids
 
 BROADCAST_THRESHOLD = 5_000_000  # keys; ~40MB of hashes — fine to broadcast
 
 
-def value_count_partials(col: str):
-    def partial(t: pa.Table) -> pa.Table:
-        arr = t[col]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        vc = arr.value_counts()
-        return pa.table({col: vc.field("values"),
-                         "n": pc.cast(vc.field("counts"), pa.int64())})
-    return partial
-
-
 def duplicate_keys(ds, col: str):
     """Dataset of ``(col, n)`` for keys appearing more than once."""
-    partials = ds.select_columns([col]).map_batches(
-        value_count_partials(col), batch_format="pyarrow")
-    agg = partials.groupby(col).aggregate(Sum("n", alias_name="n"))
+    agg = aggregate(ds.select_columns([col]), [col], n=("count", None))
     return agg.map_batches(lambda t: t.filter(pc.greater(t["n"], 1)),
                            batch_format="pyarrow")
 
 
 def distinct_count(ds, col: str) -> int:
-    """Exact distinct count via the same partial-aggregation pattern."""
-    partials = ds.select_columns([col]).map_batches(
-        value_count_partials(col), batch_format="pyarrow")
-    return partials.groupby(col).aggregate(Sum("n", alias_name="n")).count()
+    """Exact count of the distinct non-null keys (SQL ``COUNT(DISTINCT
+    col)``)."""
+    keys = ds.select_columns([col]).map_batches(
+        lambda t: t.filter(pc.is_valid(t[col])), batch_format="pyarrow")
+    return aggregate(keys, [col]).count()
+
+
+def _hashes(t: pa.Table, col: str) -> np.ndarray:
+    """Key hashes of the non-null keys of ``t[col]``."""
+    h, null, _ = key_hash(t, [col])
+    return h[~null]
 
 
 class _BroadcastAntiJoin:
@@ -72,15 +68,11 @@ class _BroadcastAntiJoin:
     def __call__(self, t: pa.Table) -> pa.Table:
         if self._hashes is None:
             self._hashes = ray.get(self.ref) if not isinstance(self.ref, np.ndarray) else self.ref
-        arr = t[self.key]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        h = hash64(np.asarray(arr.to_pylist(), dtype=object))
+        h, null, _ = key_hash(t, [self.key])
         idx = np.searchsorted(self._hashes, h)
         idx = np.clip(idx, 0, len(self._hashes) - 1)
         present = self._hashes[idx] == h if len(self._hashes) else np.zeros(len(h), bool)
-        missing = ~present
-        return t.filter(pa.array(missing))
+        return t.filter(pa.array(~present | null))
 
 
 def build_bloom(ds, col: str, n_bits: int = 1 << 24, n_hashes: int = 5):
@@ -88,17 +80,11 @@ def build_bloom(ds, col: str, n_bits: int = 1 << 24, n_hashes: int = 5):
     them into one filter via ``add_hashes`` (OR-merge equivalent). The
     blobs are 8 bytes/row; the filter itself never ships between workers
     during the build."""
-    import numpy as np
-    from prompture_ray.functions.sketches import Bloom, hash64
+    from prompture_ray.functions.sketches import Bloom
 
     def blob(t: pa.Table) -> pa.Table:
-        arr = t[col]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        arr = arr.drop_null()
-        h = (hash64(np.asarray(arr.to_pylist(), dtype=object))
-             if len(arr) else np.empty(0, dtype=np.uint64))
-        return pa.table({"h": pa.array([h.tobytes()], type=pa.binary())})
+        return pa.table({"h": pa.array([_hashes(t, col).tobytes()],
+                                       type=pa.binary())})
 
     bloom = Bloom(n_bits, n_hashes)
     for b in ds.map_batches(blob, batch_format="pyarrow") \
@@ -112,7 +98,8 @@ def referential_missing(left_ds, right_ds, key: str, right_key: str | None = Non
                         broadcast_threshold: int = BROADCAST_THRESHOLD,
                         n_buckets: int = 64, bloom_prefilter: bool = True):
     """Rows of ``left_ds`` (projected to ``key``) whose key has no match in
-    ``right_ds[right_key]``. Returns a Dataset with columns (key, n).
+    ``right_ds[right_key]``. Returns a Dataset with columns (key, n), the
+    key in its ``left_ds`` type, not sorted.
 
     Partitioned path with ``bloom_prefilter``: a Bloom filter of the LEFT
     keys drops right rows that cannot affect the anti-join result before
@@ -126,58 +113,53 @@ def referential_missing(left_ds, right_ds, key: str, right_key: str | None = Non
     n_right = right.count()
     if n_right <= broadcast_threshold:
         # hash the right keys once on the driver side (streamed), broadcast
-        hashes = []
-        for b in right.iter_batches(batch_size=65536, batch_format="pyarrow"):
-            arr = b[right_key].combine_chunks() if isinstance(b[right_key], pa.ChunkedArray) else b[right_key]
-            hashes.append(hash64(np.asarray(arr.to_pylist(), dtype=object)))
+        hashes = [_hashes(b, right_key) for b in right.iter_batches(
+            batch_size=65536, batch_format="pyarrow")]
         sorted_hashes = np.sort(np.concatenate(hashes)) if hashes else np.empty(0, np.uint64)
         ref = ray.put(sorted_hashes)
         missing = left.map_batches(_BroadcastAntiJoin(key, ref),
                                    batch_format="pyarrow")
-        # aggregate per missing key
-        partials = missing.map_batches(value_count_partials(key),
-                                       batch_format="pyarrow")
-        return partials.groupby(key).aggregate(Sum("n", alias_name="n"))
+        return aggregate(missing, [key], n=("count", None))
 
-    # partitioned path: hash-bucket both sides, per-bucket set difference
+    # partitioned path: both sides meet in partition_ids buckets
     if bloom_prefilter:
-        left_bloom = build_bloom(left, key)
-        bloom_ref = ray.put(left_bloom)
+        bloom_ref = ray.put(build_bloom(left, key))
 
         def right_filter(t: pa.Table) -> pa.Table:
-            bl = ray.get(bloom_ref)
-            arr = t[right_key]
-            if isinstance(arr, pa.ChunkedArray):
-                arr = arr.combine_chunks()
-            if len(arr) == 0:
-                return t
-            h = hash64(np.asarray(arr.to_pylist(), dtype=object))
-            return t.filter(pa.array(bl.contains_hashes(h)))
+            h, _, _ = key_hash(t, [right_key])
+            return t.filter(pa.array(ray.get(bloom_ref).contains_hashes(h)))
 
         right = right.map_batches(right_filter, batch_format="pyarrow")
 
-    def tag(side: str, col: str):
-        def fn(t: pa.Table) -> pa.Table:
-            arr = t[col]
-            if isinstance(arr, pa.ChunkedArray):
-                arr = arr.combine_chunks()
-            h = hash64(np.asarray(arr.to_pylist(), dtype=object))
-            bucket = (h % np.uint64(n_buckets)).astype(np.int64)
-            return pa.table({
-                "key": pc.cast(arr, pa.string()),
-                "side": pa.array([side] * len(t), type=pa.string()),
-                "bucket": pa.array(bucket),
-            })
-        return fn
+    def tag_left(t: pa.Table) -> pa.Table:
+        return t.append_column("__pb", partition_ids(t, [key], n_buckets))
 
-    tagged = left.map_batches(tag("L", key), batch_format="pyarrow").union(
-        right.map_batches(tag("R", right_key), batch_format="pyarrow"))
+    def tag_right(t: pa.Table) -> pa.Table:
+        # a null right key matches nothing, so its row is dropped; every
+        # right row thus has a non-null __rk and every left row a null one
+        pid = partition_ids(t, [right_key], n_buckets)
+        return pa.table({"__rk": t[right_key], "__pb": pid}) \
+            .filter(pc.less(pid, n_buckets))
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        right_set = set(g.loc[g["side"] == "R", "key"])
-        lk = g.loc[g["side"] == "L", "key"]
-        miss = lk[~lk.isin(right_set)]
-        vc = miss.value_counts()
-        return pd.DataFrame({key: vc.index.astype(str), "n": vc.to_numpy(dtype="int64")})
+    def per_bucket(g: pa.Table) -> pa.Table:
+        # a block may lack one side's columns altogether (Ray skips the
+        # column-less empty result in every later map, sort and union)
+        if key not in g.column_names:
+            return pa.table({})
+        right = pa.table({"__rk": pa.array([], pa.int64())})
+        if "__rk" in g.column_names:
+            right = g.filter(pc.is_valid(g["__rk"]))
+            g = g.filter(pc.is_null(g["__rk"]))
+        # compared by value under the key rule; a null left key is missing
+        _, miss, (lv,) = key_hash(g, [key])
+        _, _, (rv,) = key_hash(right, ["__rk"])
+        lv = lv[~miss]
+        if lv.dtype != rv.dtype:
+            lv, rv = lv.astype(object), rv.astype(object)
+        miss[~miss] = ~np.isin(lv, rv)
+        return pa.table({key: g[key]}).filter(pa.array(miss))
 
-    return tagged.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
+    missing = left.map_batches(tag_left, batch_format="pyarrow").union(
+        right.map_batches(tag_right, batch_format="pyarrow")) \
+        .groupby("__pb").map_groups(per_bucket, batch_format="pyarrow")
+    return aggregate(missing, [key], n=("count", None))

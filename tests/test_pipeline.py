@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
@@ -162,6 +163,64 @@ def test_referential_partitioned_with_bloom(ray_session, webpages_small):
     b = part.sort_values("url", ignore_index=True)
     assert a["url"].tolist() == b["url"].tolist()
     assert a["n"].tolist() == b["n"].tolist()
+
+    # an int64 key keeps its type on both paths (the partitioned path
+    # used to return it cast to string)
+    # the sf0.01 events and supplier tables, as copied for the benchmark
+    sf = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "sf0.01"
+    got = [referential_missing(
+        rd.read_parquet(f"{sf}/events.parquet", columns=["user_id"]),
+        rd.read_parquet(f"{sf}/supplier.parquet", columns=["s_suppkey"]),
+        "user_id", "s_suppkey", **kw).to_pandas()
+        .sort_values("user_id", ignore_index=True)
+        for kw in ({}, {"broadcast_threshold": 0, "n_buckets": 8})]
+    assert [g.dtypes.to_dict() for g in got] == \
+        [{"user_id": np.dtype("int64"), "n": np.dtype("int64")}] * 2
+    assert got[0].equals(got[1])
+    assert len(got[0]) == 50 and got[0]["n"].sum() == 3303
+
+
+def test_table_checks_fused_and_fallback_agree_on_null_keys(
+        ray_session, tmp_path, monkeypatch):
+    """A nullable key column gives the same unique and referential
+    results on the fused path and on the scale fallback (forced by
+    setting both limits below the data): a null key is neither a
+    duplicate nor a missing reference."""
+    import pyarrow as pa
+    from prompture_ray.pipelines import validate_pipeline as vp
+    from prompture_ray.specs import Suite
+
+    (tmp_path / "pages").mkdir()
+    for i in range(2):
+        k = [None, 1, 1, 2, 7, None, 8, 8, 8, 3]
+        pq.write_table(pa.table({
+            "url": [f"http://x/{i}/{j}" for j in range(len(k))],
+            "k": pa.array(k, pa.int64())}),
+            tmp_path / "pages" / f"part-{i}.parquet")
+    pq.write_table(pa.table({"k": pa.array([1, 2, 3, None], pa.int64())}),
+                   tmp_path / "ref.parquet")
+    suite = Suite.from_dict({"checks": [
+        {"id": "k-unique", "column": "k", "kind": "unique"},
+        {"id": "k-ref", "column": "k", "kind": "referential",
+         "ref_table": "ref", "ref_column": "k"}]})
+
+    def table_checks(out, fallback):
+        if fallback:
+            monkeypatch.setattr(vp, "UNIQUE_FUSED_MAX", -1)
+            monkeypatch.setattr(vp, "REF_BROADCAST_MAX", -1)
+        vp.run_suite(tmp_path / "pages", suite, tmp_path / out,
+                     ref_tables={"ref": str(tmp_path / "ref.parquet")})
+        res = json.loads((tmp_path / out / "table_checks.json").read_text())
+        assert res["k-ref"].get("fused", False) != fallback
+        return ({f: res["k-unique"][f]
+                 for f in ("duplicate_keys", "duplicate_rows")},
+                res["k-ref"]["missing_rows"])
+
+    # keys 1, 2, 3, 7, 8 hold 16 non-null rows: 11 are repeats; 7 and
+    # 8 (8 rows) are not in ref
+    expect = ({"duplicate_keys": 5, "duplicate_rows": 11}, 8)
+    assert table_checks("fused", False) == expect
+    assert table_checks("fallback", True) == expect
 
 
 def test_run_callbacks(ray_session, tmp_path):

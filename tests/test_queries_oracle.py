@@ -38,6 +38,17 @@ def test_query_matches_oracle(name, ray_session, oracle_con):
     assert compare(name, ray_df, sql_df) == "OK"
 
 
+def test_analytic_window_events_blocks_hash(ray_session):
+    """Its output blocks carry no pandas schema metadata, so their
+    schemas hash (Ray's schema unification dedups them in a set)."""
+    import ray
+    import __ray_entry__ as e
+    ds = e.queries()["analytic_window_events"](SF)
+    blocks = [ray.get(r) for r in ds.to_arrow_refs()]
+    assert blocks and all(not b.schema.metadata for b in blocks)
+    assert len({b.schema for b in blocks}) >= 1
+
+
 def test_every_query_has_docstring_and_runs_keys():
     import __ray_entry__ as e
     q = e.queries()

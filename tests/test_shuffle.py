@@ -1,5 +1,6 @@
-"""stages/shuffle.py: the partition-id rule, the keyed lookup, and
-layout independence of every per-key fold and map-back built on them."""
+"""stages/shuffle.py: the partition-id rule, the grouped aggregate, the
+keyed lookup, and layout independence of every per-key fold and
+map-back built on them."""
 
 import numpy as np
 import pandas as pd
@@ -81,6 +82,125 @@ def test_empty_table():
     from prompture_ray.stages.shuffle import partition_ids
     out = partition_ids(t, ["k", "s"], N)
     assert out.type == pa.int64() and len(out) == 0
+
+
+# ---------------------------------------------------------------------------
+# aggregate
+# ---------------------------------------------------------------------------
+def _agg_table() -> pa.Table:
+    """240 rows: a string + int key pair (nulls in both), a float key
+    with NaN and null, int64 values above 2^55 (all null for key "w"),
+    timestamps and strings."""
+    i = np.arange(240)
+    a = np.asarray(["x", "y", "z", "w", None], dtype=object)[i % 5]
+    v = [None if (a[j] == "w" or j % 7 == 0) else 2**55 + j for j in i]
+    f = np.asarray([1.5, 2.0, np.nan, 2.0, 1.5, 3.0], dtype=float)[i % 6]
+    return pa.table({
+        "a": pa.array(a, pa.string()),
+        "b": pa.array([None if j % 11 == 0 else j % 3 for j in i],
+                      pa.int64()),
+        "f": pa.array(f, mask=(i % 13 == 0)),
+        "v": pa.array(v, pa.int64()),
+        "ts": pa.array(1_700_000_000_000_000 - i * 7919 % 1000 * 10**6,
+                       pa.int64()).cast(pa.timestamp("us")),
+        "s": pa.array([None if j % 4 == 0 else f"s{j * 37 % 101:03d}"
+                       for j in i], pa.string()),
+    })
+
+
+def _rows(t: pa.Table) -> list:
+    """Rows of ``t`` as sorted tuples, NaN spelled out (NaN != NaN)."""
+    def norm(x):
+        return "NaN" if isinstance(x, float) and np.isnan(x) else x
+    return sorted((tuple(norm(x) for x in r.values())
+                   for r in t.to_pylist()), key=repr)
+
+
+def _duckdb(t: pa.Table, sql: str) -> pa.Table:
+    import duckdb
+    con = duckdb.connect()
+    con.register("t", t)
+    return con.execute(sql).arrow()
+
+
+def _agg(n_blocks: int, keys: list, **outs) -> pa.Table:
+    """``aggregate`` over ``_agg_table()`` cut into ``n_blocks`` blocks."""
+    import ray
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import aggregate
+    t = _agg_table()
+    step = -(-t.num_rows // n_blocks)
+    blocks = [t.slice(o, step) for o in range(0, t.num_rows, step)]
+    ds = aggregate(rd.from_arrow(blocks), keys, **outs)
+    # Ray may emit a column-less empty block for a partition without rows
+    return pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()],
+                            promote_options="default")
+
+
+@pytest.mark.parametrize("n_blocks", [1, 6])
+def test_aggregate_matches_duckdb(ray_session, n_blocks):
+    got = _agg(n_blocks, ["a", "b"], n=("count", None), sv=("sum", "v"),
+               t0=("min", "ts"), lo=("min", "s"), hi=("max", "s"),
+               vmax=("max", "v"))
+    assert got.column_names == ["a", "b", "n", "sv", "t0", "lo", "hi",
+                                "vmax"]
+    assert got.schema.types == [pa.string(), pa.int64(), pa.int64(),
+                                pa.int64(), pa.timestamp("us"),
+                                pa.string(), pa.string(), pa.int64()]
+    want = _duckdb(_agg_table(), """
+        SELECT a, b, count(*), CAST(sum(v) AS BIGINT), min(ts), min(s),
+               max(s), max(v)
+        FROM t GROUP BY a, b""")
+    assert _rows(got) == _rows(want)
+    # exact int64 sums beyond 2^53, and null for an all-null group
+    sums = {(r["a"], r["b"]): r["sv"] for r in got.to_pylist()}
+    assert sums[("x", 0)] == sum(2**55 + j for j in range(240)
+                                 if j % 5 == 0 and j % 11 and j % 7
+                                 and j % 3 == 0)
+    assert sums[("x", 0)] > 2**53
+    assert {s for (a, _), s in sums.items() if a == "w"} == {None}
+
+
+@pytest.mark.parametrize("n_blocks", [1, 6])
+def test_aggregate_null_and_nan_keys_are_separate_groups(ray_session,
+                                                         n_blocks):
+    got = _agg(n_blocks, ["f"], n=("count", None), sv=("sum", "v"))
+    want = _duckdb(_agg_table(), "SELECT f, count(*), CAST(sum(v) AS BIGINT) "
+                      "FROM t GROUP BY f")
+    assert _rows(got) == _rows(want)
+    keys = [r[0] for r in _rows(got)]
+    assert None in keys and "NaN" in keys and len(keys) == 5
+
+
+def test_aggregate_empty_input_and_keys_only(ray_session):
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import aggregate
+    empty = aggregate(rd.from_arrow(_agg_table().slice(0, 0)), ["a"],
+                      n=("count", None))
+    assert empty.count() == 0
+    distinct = _agg(2, ["a"])
+    assert sorted(distinct["a"].to_pylist(), key=repr) == \
+        sorted(["x", "y", "z", "w", None], key=repr)
+
+
+def test_table_checks_null_keys_match_sql(ray_session):
+    """``distinct_count`` is SQL's COUNT(DISTINCT), which skips nulls;
+    ``duplicate_keys`` is GROUP BY ... HAVING count(*) > 1, where the
+    null key is one group."""
+    import ray
+    import ray.data as rd
+    from prompture_ray.stages.table_checks import (distinct_count,
+                                                   duplicate_keys)
+    t = _agg_table()
+    ds = rd.from_arrow([t.slice(0, 100), t.slice(100)])
+    assert distinct_count(ds, "a") == _duckdb(
+        t, "SELECT count(DISTINCT a) FROM t").column(0)[0].as_py() == 4
+    dups = duplicate_keys(ds, "a").to_arrow_refs()
+    got = pa.concat_tables([ray.get(r) for r in dups],
+                           promote_options="default")
+    want = _duckdb(t, "SELECT a, count(*) FROM t GROUP BY a "
+                      "HAVING count(*) > 1")
+    assert _rows(got) == _rows(want) and None in got["a"].to_pylist()
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +366,7 @@ def _ops():
     from prompture_ray.stages import (analytic as an, groupstats as gs,
                                       intervals as iv, userpath as up,
                                       windows as wn)
+    from prompture_ray.stages.shuffle import aggregate
     return {
         "forward_fill": lambda ds: an.forward_fill(
             ds, "k", "t", "tie", ["w"]),
@@ -306,6 +427,9 @@ def _ops():
             ds, "k", "w", out_col="w_imp", broadcast_max=0),
         "percent_rank_by_key": lambda ds: an.percent_rank_by_key(
             ds, "k", "v"),
+        "aggregate": lambda ds: aggregate(
+            ds, ["k"], n=("count", None), v_sum=("sum", "v"),
+            w_sum=("sum", "w"), ts_min=("min", "ts"), typ_max=("max", "typ")),
     }
 
 
@@ -341,18 +465,22 @@ def test_fold_is_layout_independent_with_a_null_key(ray_session, op):
     assert two == clean
 
 
-@pytest.mark.parametrize("op", ["cusum_flags", "grouped_quantiles",
+@pytest.mark.parametrize("op", ["aggregate", "cusum_flags",
+                                "grouped_quantiles",
                                 "grouped_weighted_quantiles",
                                 "ntile_by_key", "rolling_anomaly",
                                 "session_windows_bucketed"])
 def test_pandas_fold_blocks_keep_the_key_type(ray_session, op):
-    """Every output block of a pandas fold, the null-key partition's
-    included, carries the int64 key as int64 (pandas turns a key column
-    holding a null into float64), so the blocks concatenate."""
+    """Every output block of a pandas fold (and of ``aggregate``), the
+    null-key partition's included, carries the int64 key as int64
+    (pandas turns a key column holding a null into float64), so the
+    blocks concatenate; no block keeps pandas schema metadata, so the
+    schemas hash (Ray's schema unification dedups them in a set)."""
     import ray
     import ray.data as rd
     ds = _ops()[op](rd.from_arrow(_blocks(True, False)))
     blocks = [ray.get(r) for r in ds.to_arrow_refs()]
+    assert len({b.schema for b in blocks}) >= 1
     out = pa.concat_tables(blocks, promote_options="default")
     assert out.schema.field("k").type == pa.int64()
     assert out["k"].null_count == 1

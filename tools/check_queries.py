@@ -2,13 +2,20 @@
 and its oracle_sql() side by side on an sf dir, compare row count + schema +
 order-insensitive values.
 
-Usage: python tools/check_queries.py [sf_dir] [query ...]
+Usage: python tools/check_queries.py [--jsonl PATH] [sf_dir] [query ...]
+
+``--jsonl PATH`` also writes one ``{name, wall_s, rows, status}`` record
+per query (wall_s: running the query and collecting its result; status:
+PASS, FAIL, rows-only, RAY ERROR or SQL ERROR), so two sweeps can be
+diffed query by query.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -88,8 +95,18 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> str:
 
 
 def main() -> int:
+    log = None
+    if sys.argv[1:2] == ["--jsonl"]:
+        log = open(sys.argv[2], "w")
+        del sys.argv[1:3]
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
+
+    def record(name, wall_s, rows, status):
+        if log:
+            log.write(json.dumps({"name": name, "wall_s": round(wall_s, 4),
+                                  "rows": rows, "status": status}) + "\n")
+            log.flush()
 
     import ray
     if not ray.is_initialized():
@@ -110,27 +127,35 @@ def main() -> int:
     for name, fn in queries.items():
         if only and name not in only:
             continue
+        t0 = time.perf_counter()
         try:
             ray_df = to_pandas(fn(sf_dir))
         except Exception as e:
             print(f"{name:32s} RAY ERROR: {type(e).__name__}: {e}")
+            record(name, time.perf_counter() - t0, None, "RAY ERROR")
             failures += 1
             continue
+        wall_s = time.perf_counter() - t0
         if name not in oracles:
             print(f"{name:32s} rows-only: {len(ray_df)} rows")
+            record(name, wall_s, len(ray_df), "rows-only")
             continue
         try:
             sql_df = con.execute(oracles[name]).fetchdf()
         except Exception as e:
             print(f"{name:32s} SQL ERROR: {type(e).__name__}: {e}")
+            record(name, wall_s, len(ray_df), "SQL ERROR")
             failures += 1
             continue
         verdict = compare(name, ray_df, sql_df)
         status = "PASS" if verdict == "OK" else "FAIL"
         if status == "FAIL":
             failures += 1
+        record(name, wall_s, len(ray_df), status)
         print(f"{name:32s} {status} ({len(ray_df)} rows) {'' if verdict=='OK' else verdict}")
     ray.shutdown()
+    if log:
+        log.close()
     return 1 if failures else 0
 
 
