@@ -27,8 +27,18 @@ from prompture_ray.stages.validate import ValidateBatch
 # --------------------------------------------------------------------------
 
 def _read(sf_dir: str, table: str, columns=None):
+    """The table's parquet read as blocks without schema metadata: the
+    test tables were written by pandas, and a ``b"pandas"`` entry makes
+    a block schema unhashable, which sends Ray's schema unification
+    down its slow path (a warning per unify). Handing the read a
+    metadata-free schema drops it in the read task itself."""
+    import pyarrow.dataset as pds
     import ray.data as rd
-    return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+    path = f"{sf_dir}/{table}.parquet"
+    schema = pds.dataset(path, format="parquet").schema.remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return rd.read_parquet(path, columns=columns, schema=schema)
 
 
 def _collect(ds, schema: pa.Schema) -> pa.Table:

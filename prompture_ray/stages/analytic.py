@@ -218,7 +218,7 @@ def top_k_per_group(ds, key_col: str, order_col: str, k: int,
     ``groupby.head(k)`` per batch — any row outside its batch-local
     top k can't be in the global top k) shrinks the shuffle to
     <= k rows per (key, batch); the final ``shuffle.partition_fold``
-    pass re-ranks every key of a partition in ONE vectorized pandas
+    pass re-ranks every key of a fold frame in ONE vectorized pandas
     pass (never a frame per key). No global sort, no driver state.
     """
     by = [key_col, order_col, tie_col]
@@ -368,7 +368,7 @@ def forward_fill(ds, key_col: str, ts_col: str, tie_col: str,
 
     Scale shape: one ``shuffle.partition_fold`` on the key (every key
     lands wholly in one partition), then one vectorized sort +
-    ``groupby.ffill`` pandas pass per partition; never a frame per key,
+    ``groupby.ffill`` pandas pass per fold frame; never a frame per key,
     no driver state. Auto-size ``n_parts`` ≈ rows / 5M for
     huge inputs. Int64 value columns travel as nullable Int64 inside
     the partition pass (``types_mapper``), so hash-magnitude payloads
@@ -414,7 +414,7 @@ def lag_shift(ds, key_col: str, ts_col: str, tie_col: str,
 
     Scale shape: one ``shuffle.partition_fold`` on the key (every key
     lands wholly in one partition), then one vectorized sort +
-    ``groupby.shift`` pandas pass per partition; never a frame per key,
+    ``groupby.shift`` pandas pass per fold frame; never a frame per key,
     no driver state. Auto-size ``n_parts`` ≈
     rows / 5M for huge inputs; a single pathologically hot key bounds a
     partition (use analytic_window_bucketed when one key's history
@@ -457,7 +457,7 @@ def suppress_bursts(ds, key_col: str, ts_col: str, tie_col: str,
     must be integer (epoch-µs); comparisons are exact int64.
 
     Scale shape: one ``shuffle.partition_fold`` on the key, one
-    vectorized sort + groupby.shift + int compare per partition;
+    vectorized sort + groupby.shift + int compare per fold frame;
     ``shuffle_blocks`` bounds the groupby's input block count."""
 
     _int64 = {pa.int64(): pd.Int64Dtype(), pa.int32(): pd.Int64Dtype()}
@@ -500,7 +500,7 @@ def time_weighted_avg(ds, key_col: str, ts_col: str, tie_col: str,
     (lead() window + SUM) is bit-identical with no rounding.
 
     Scale shape: one ``shuffle.partition_fold`` on the key, one
-    vectorized sort + boundary-masked diff pass per partition; never a
+    vectorized sort + boundary-masked diff pass per fold frame; never a
     frame per key, no driver state."""
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -547,7 +547,7 @@ def rolling_anomaly(ds, key_col: str, ts_col: str, tie_col: str,
     replay is then bit-identical with NO float anywhere.
 
     Scale shape: one ``shuffle.partition_fold`` on the key, one
-    vectorized sort + groupby-rolling pass per partition."""
+    vectorized sort + groupby-rolling pass per fold frame."""
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, tie_col],
@@ -589,7 +589,7 @@ def cusum_flags(ds, key_col: str, ts_col: str, tie_col: str,
 
         S_t = P_t − min(0, min_{j≤t} P_j),   P_t = Σ_{i≤t} (v_i − k)
 
-    so the per-partition pass is one ``cumsum`` + one ``cummin`` —
+    so the per-frame pass is one ``cumsum`` + one ``cummin`` —
     fully vectorized, integer-exact (caller contract: Σ|v−k| per key
     < 2^63), and bit-identically replayable in SQL as
     ``SUM(v−k) OVER (...)`` and ``MIN(P) OVER (...)``. Appends ``cusum``
@@ -602,7 +602,7 @@ def cusum_flags(ds, key_col: str, ts_col: str, tie_col: str,
 
     Scale shape: one ``shuffle.partition_fold`` on the key (a key's
     whole history lands in one partition), one vectorized sort +
-    grouped cumsum/cummin pandas pass per partition; ``shuffle_blocks``
+    grouped cumsum/cummin pandas pass per fold frame; ``shuffle_blocks``
     bounds the groupby's input block count."""
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -643,7 +643,7 @@ def fir_smooth(ds, key_col: str, ts_col: str, tie_col: str,
     Appends ``fir``.
 
     Built on :func:`lag_shift` (one row shuffle, vectorized grouped
-    shift per partition); the weighted combine is a pure numpy pass."""
+    shift per fold frame); the weighted combine is a pure numpy pass."""
     if taps < 2:
         raise ValueError("fir_smooth: taps must be >= 2")
     shifts = tuple(range(1, taps))
@@ -690,7 +690,7 @@ def ntile_by_key(ds, key_col: str, order_col: str, n_tiles: int,
     tie-order-dependent and not oracle-checkable. Appends ``tile``.
 
     Scale shape: one ``shuffle.partition_fold`` on the key, one
-    vectorized sort + grouped cumcount/size pass per partition."""
+    vectorized sort + grouped cumcount/size pass per fold frame."""
     k = int(n_tiles)
     if k < 1:
         raise ValueError("ntile_by_key: n_tiles must be >= 1")
@@ -726,7 +726,7 @@ def max_drawdown_by_key(ds, key_col: str, ts_col: str, tie_col: str,
     n). Keys with one row get 0.
 
     Scale shape: one ``shuffle.partition_fold`` on the key, one
-    vectorized sort + grouped cumsum/cummax pass per partition; output
+    vectorized sort + grouped cumsum/cummax pass per fold frame; output
     is |keys| rows."""
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -795,7 +795,7 @@ def longest_streak(ds, key_col: str, ts_col: str, tie_col: str,
     SQL-replayable via min-island-start ordering). Pure integer.
 
     Scale shape: one ``shuffle.partition_fold`` on the key, one
-    vectorized sort + boundary-cumsum pandas pass per partition; output
+    vectorized sort + boundary-cumsum pandas pass per fold frame; output
     is |keys| rows."""
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:

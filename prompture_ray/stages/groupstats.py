@@ -142,7 +142,7 @@ def grouped_outliers(ds, key_col: str, val_col: str, k: int = 3,
 
     ``val_col`` must be integer. Scale shape: one
     ``shuffle.partition_fold`` on the key (every key whole in one
-    partition), then one vectorized numpy pass per partition: lexsort
+    partition), then one vectorized numpy pass per fold frame: lexsort
     by (key, val) -> middle order statistics per group via offset
     arithmetic, second lexsort by (key, d) for the MAD
     — never a frame per key, no driver state. ``shuffle_blocks`` bounds
@@ -275,7 +275,7 @@ def grouped_quantiles(ds, key_col: str, val_col: str,
 
     Scale shape: one ``shuffle.partition_fold`` on the key (keys land
     whole), one vectorized sort + searchsorted-free reduceat selection
-    per partition; never a frame
+    per fold frame; never a frame
     per key. A single pathologically hot key bounds a partition."""
     from fractions import Fraction
 

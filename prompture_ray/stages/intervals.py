@@ -99,7 +99,7 @@ def gap_fill(ds, key_col: str, step_col: str, *,
 
     Scale shape: per-batch Arrow partial counts (≤ keys × steps rows
     per batch) → ONE ``shuffle.partition_fold`` of the partial rows →
-    one vectorized expansion pass per partition (repeat/arange over all
+    one vectorized expansion pass per fold frame (repeat/arange over all
     keys at once + searchsorted merge of the observed counts)."""
     nparts = n_parts or auto_n_parts(ds)
 

@@ -19,7 +19,7 @@ self-join on DISTINCT (basket, item).
 Scale shape: per-batch map-side shrink to distinct (basket, item)
 pairs, then ONE ``shuffle.partition_fold`` on the basket so every
 basket lands wholly in one bounded frame (a null basket pairs with
-nothing, as in a SQL self-join); per partition a single VECTORIZED
+nothing, as in a SQL self-join); per fold frame a single VECTORIZED
 pass (lexsort → group sizes → arithmetic pair expansion, never a frame
 or Python loop per basket) emits partial pair counts; the final fold is a
 grouped Sum over pair keys bounded by the pair vocabulary. Pair

@@ -5,16 +5,18 @@ table back onto rows.
 
 Most per-key operators in ``stages/`` share one scale shape:
 hash-partition the rows on the key so every key lands wholly in one
-partition, then run ONE vectorized pass per partition (never a pandas
+partition, then run ONE vectorized pass per fold frame (never a pandas
 frame per key, no driver state). ``partition_fold`` is that shape;
 ``partition_ids`` is its partitioner, which the bucketed joins also use.
-The other common shape attaches a per-key aggregate (a group prior,
-quantile bounds, a term total) back to every row: ``lookup`` does it
-with one size dispatch — a small table is broadcast, a large one meets
-the rows in ``partition_ids`` buckets — and one probe for both. The
-third shape is the grouped count/sum/min/max: ``aggregate`` combines
-each batch with one Arrow ``group_by`` and merges the partials in a
-``partition_fold`` with one more per partition, where Ray's
+A fold frame is one or more whole partitions of a sorted block, the
+null-key partition always alone (``_fold_partitions``). The other
+common shape attaches a per-key aggregate (a group prior, quantile
+bounds, a term total) back to every row: ``lookup`` does it with one
+size dispatch — a small table is broadcast, a large one meets the rows
+in ``partition_ids`` buckets, folded the same way — and one probe for
+both. The third shape is the grouped count/sum/min/max: ``aggregate``
+combines each batch with one Arrow ``group_by`` and merges the partials
+in a ``partition_fold`` with one more per fold frame, where Ray's
 ``groupby().aggregate`` walks every row in Python.
 
 Partition-id rule (a result must not depend on block layout):
@@ -138,20 +140,23 @@ def auto_n_parts(ds, target: int = TARGET_ROWS_PER_PART) -> int:
 def partition_fold(ds, cols: list, fn, *, n_parts: int,
                    shuffle_blocks: int | None = None,
                    batch_format: str = "pandas"):
-    """Hash-partition ``ds`` on ``cols`` and run ``fn`` once per
-    partition. ``fn`` receives the partition frame (``batch_format``)
-    without the ``__pb`` id column and must handle every key of the
-    partition in one vectorized pass.
+    """Hash-partition ``ds`` on ``cols`` and run ``fn`` over whole
+    partitions. ``fn`` receives a frame (``batch_format``) without the
+    ``__pb`` id column holding one or more whole partitions, never part
+    of one, of at most ``TARGET_ROWS_PER_PART`` rows unless a single
+    partition is larger (``_fold_partitions``); the null-key partition
+    always comes alone. ``fn`` must handle every key of its frame in
+    one vectorized pass.
 
     ``shuffle_blocks`` coalesces the tagged rows to that many blocks
-    before the groupby: Ray's groupby sort cost follows the INPUT block
-    count (a 1500-fragment 9M-row run measured 128x superlinear
-    without it); size it ≈ rows / 500k beyond ~64M rows. ``None`` keeps
-    the input's blocks.
+    before the sort: Ray's sort cost follows the INPUT block count (a
+    1500-fragment 9M-row run measured 128x superlinear without it);
+    size it ≈ rows / 500k beyond ~64M rows. ``None`` keeps the input's
+    blocks.
 
     A pandas ``fn``'s frame comes back as an Arrow block whose integer
     input columns keep their input types (``_unwiden``), so a null key
-    or value does not change a column's type in one partition only, and
+    or value does not change a column's type in one frame only, and
     without pandas schema metadata."""
     from ray.data.block import BlockAccessor
     cols = list(cols)
@@ -174,7 +179,44 @@ def partition_fold(ds, cols: list, fn, *, n_parts: int,
         out = BlockAccessor.for_block(fn(g.to_pandas())).to_arrow()
         return _unwiden(out, g).replace_schema_metadata(None)
 
-    return tagged.groupby("__pb").map_groups(run, batch_format="pyarrow")
+    return _fold_partitions(tagged, run, n_parts)
+
+
+def _fold_partitions(tagged, run, n_parts: int):
+    """Run ``run`` over the ``__pb``-tagged rows of ``tagged``, whole
+    partitions at a time: one sort on the id, then one call per run of
+    contiguous partitions in each sorted block (``_runs``). Ray's
+    ``groupby().map_groups`` would call it once per partition id in
+    every block, a pandas/Arrow round trip each."""
+    cap = TARGET_ROWS_PER_PART
+
+    def run_block(b: pa.Table):
+        # an empty block may come without columns
+        pb = b["__pb"].to_numpy() if b.num_rows else []
+        for lo, hi in _runs(pb, n_parts, cap):
+            yield run(b.slice(lo, hi - lo))
+
+    return tagged.sort("__pb").map_batches(run_block, batch_size=None,
+                                           batch_format="pyarrow")
+
+
+def _runs(pb: np.ndarray, n_parts: int, cap: int) -> list:
+    """``(lo, hi)`` row ranges cutting the ascending partition ids
+    ``pb`` into runs of whole partitions: a run grows until the next
+    partition would take it past ``cap`` rows (a partition larger than
+    ``cap`` runs alone), and the null-key partition ``n_parts`` always
+    runs alone."""
+    n = len(pb)
+    if not n:
+        return []
+    edges = [0, *(np.flatnonzero(pb[1:] != pb[:-1]) + 1).tolist()]
+    null_at = int(np.searchsorted(pb, n_parts))
+    runs, start = [], 0
+    for lo, hi in zip(edges, edges[1:] + [n]):
+        if lo > start and (lo == null_at or hi - start > cap):
+            runs.append((start, lo))
+            start = lo
+    return runs + [(start, n)]
 
 
 def _unwiden(t: pa.Table, src: pa.Table) -> pa.Table:
@@ -233,7 +275,7 @@ def aggregate(ds, keys: list, **outs):
 
     Each batch is combined with one Arrow ``group_by``, and a
     ``partition_fold`` (``AGG_PARTS`` partitions) merges the partials
-    with one more per partition (counts and sums add, minima and
+    with one more per fold frame (counts and sums add, minima and
     maxima fold). Null, order and type contract: the module
     docstring's aggregate rule."""
     keys = list(keys)
@@ -334,7 +376,7 @@ def lookup(ds, table, on: list, values: list, *, broadcast_max: int,
     - beyond that, both sides are tagged with their key hash and
       ``partition_ids`` bucket (of ``n_buckets``), unioned as Arrow
       blocks (so payload types survive the union) and the same probe
-      runs once per bucket.
+      runs once per run of whole buckets (``_fold_partitions``).
     """
     import ray
 
@@ -384,10 +426,11 @@ def lookup(ds, table, on: list, values: list, *, broadcast_max: int,
             .append_column("__pb", _pids(h, null, n_buckets))
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        # each side's rows are the ones whose own hash column is set;
+        # g holds whole buckets: two keys sharing a hash share a bucket.
+        # Each side's rows are the ones whose own hash column is set;
         # a block may lack one side's columns altogether (Ray skips the
         # column-less empty result in every later map, sort and union)
-        # built first: a bucket without rows still checks its table
+        # built first: buckets without rows still check their table
         # keys for a shared hash, as the broadcast path does
         found = side([g.filter(pc.is_valid(g["__rh"]))]
                      if "__rh" in g.column_names else [])
@@ -402,5 +445,4 @@ def lookup(ds, table, on: list, values: list, *, broadcast_max: int,
 
     tagged = ds.map_batches(tag_rows, batch_format="pyarrow").union(
         table.map_batches(tag_table, batch_format="pyarrow"))
-    return tagged.groupby("__pb").map_groups(per_bucket,
-                                             batch_format="pyarrow")
+    return _fold_partitions(tagged, per_bucket, n_buckets)

@@ -150,7 +150,7 @@ def transition_counts(ds, user_col: str, ts_col: str, tie_col: str,
     corpus statistics.
 
     Scale shape: ``lag_shift`` (one ``shuffle.partition_fold`` on the
-    user, vectorized grouped shift per partition) emits only the
+    user, vectorized grouped shift per fold frame) emits only the
     bounded (from, to) pair partials; the |types|²-sized count table
     takes one narrow grouped shuffle, and the per-from totals are a
     second grouped fold of that TINY table (never a re-scan of the

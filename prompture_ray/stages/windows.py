@@ -140,9 +140,10 @@ def running_aggregate_bucketed(ds, key_col: str, ts_col: str,
     holds one key's entire history in a single pandas group. This form
     bounds group size by (key × coarse time bucket):
 
-    phase 1 — ``shuffle.partition_fold`` on (key, bucket) (bounded
-    frames, ~thousands of cells per frame): ONE vectorized pandas
-    groupby-cumsum gives every cell's local cumsum (``_cell_fold``; the
+    phase 1 — ``shuffle.partition_fold`` on (key, bucket) (fold frames
+    of whole hash partitions, at most ``shuffle.TARGET_ROWS_PER_PART``
+    rows unless one partition is larger): ONE vectorized pandas groupby-cumsum per frame gives every cell's
+    local cumsum (``_cell_fold``; the
     naive frame-per-cell form was ~10× slower);
     phase 2 — per-batch per-cell partial sums, then ONE
     ``partition_fold`` on the key sums every cell and takes each key's
@@ -219,7 +220,7 @@ def session_windows_bucketed(ds, key_col: str, ts_col: str,
     phase 2 — ``partition_fold`` on the key over the session rows only
     (sessions per key ≪ events per key): ONE vectorized gap-merge of
     adjacent sessions across bucket boundaries for every key of a
-    partition.
+    fold frame.
 
     Exactly equivalent to ``session_windows``: within-bucket gaps are
     handled locally, cross-bucket gaps by comparing a session's end with

@@ -49,6 +49,24 @@ def test_analytic_window_events_blocks_hash(ray_session):
     assert len({b.schema for b in blocks}) >= 1
 
 
+@pytest.mark.parametrize("table,columns", [("events", ["user_id", "ts"]),
+                                           ("lineitem", None)])
+def test_read_blocks_carry_no_schema_metadata(ray_session, table, columns):
+    """The pandas-written test tables carry ``b"pandas"`` metadata;
+    every block ``queries._read`` gives is without it and holds the
+    file's rows and types."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+    from prompture_ray.pipelines.queries import _read
+    path = f"{SF}/{table}.parquet"
+    assert b"pandas" in pq.read_schema(path).metadata
+    blocks = [ray.get(r) for r in _read(SF, table, columns).to_arrow_refs()]
+    assert blocks and all(b.schema.metadata is None for b in blocks)
+    want = pq.read_table(path, columns=columns)
+    assert pa.concat_tables(blocks).equals(want.replace_schema_metadata())
+
+
 def test_every_query_has_docstring_and_runs_keys():
     import __ray_entry__ as e
     q = e.queries()

@@ -85,6 +85,88 @@ def test_empty_table():
 
 
 # ---------------------------------------------------------------------------
+# partition_fold: whole partitions per call, the null partition alone
+# ---------------------------------------------------------------------------
+def test_runs_cut_whole_partitions_and_the_null_one_alone():
+    from prompture_ray.stages.shuffle import _runs
+    pb = np.asarray([0, 0, 1, 3, 3, 3, 5, N, N])
+    assert _runs(pb, N, 100) == [(0, 7), (7, 9)]
+    # partition 3 (3 rows) would take the first run past 4 rows
+    assert _runs(pb, N, 4) == [(0, 3), (3, 7), (7, 9)]
+    # a partition above the cap runs alone
+    assert _runs(pb, N, 2) == [(0, 2), (2, 3), (3, 6), (6, 7), (7, 9)]
+    assert _runs(np.asarray([N, N]), N, 1) == [(0, 2)]
+    assert _runs(np.asarray([], np.int64), N, 10) == []
+
+
+def _fold_input() -> pa.Table:
+    """1,200 rows over 300 int keys and 12 null keys."""
+    i = np.arange(1200)
+    return pa.table({"k": pa.array(i * 7 % 300, mask=(i % 100 == 0)),
+                     "v": i})
+
+
+def _fold_calls(n_blocks: int) -> tuple:
+    """(``_fold_input()``, one row per input row: its key and the id of
+    the ``partition_fold`` call that saw it) with the input cut into
+    ``n_blocks`` blocks."""
+    import uuid
+
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import partition_fold
+    t = _fold_input()
+    step = -(-t.num_rows // n_blocks)
+    blocks = [t.slice(o, step) for o in range(0, t.num_rows, step)]
+
+    def tag_call(g: pa.Table) -> pa.Table:
+        return pa.table({"k": g["k"],
+                         "call": pa.array([uuid.uuid4().hex] * g.num_rows)})
+
+    ds = partition_fold(rd.from_arrow(blocks), ["k"], tag_call, n_parts=N,
+                        batch_format="pyarrow")
+    return t, ds.to_pandas()
+
+
+def _assert_calls_hold_whole_keys(t: pa.Table, seen) -> None:
+    assert len(seen) == t.num_rows
+    real = seen[seen["k"].notna()]
+    assert (real.groupby("k")["call"].nunique() == 1).all()
+    null_calls = set(seen.loc[seen["k"].isna(), "call"])
+    assert len(null_calls) == 1
+    assert not null_calls & set(real["call"])
+
+
+def test_fold_runs_once_per_sorted_block(ray_session):
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import partition_fold
+    t = _fold_input()
+    blocks = [t.slice(0, 600), t.slice(600)]
+    out = partition_fold(
+        rd.from_arrow(blocks), ["k"],
+        lambda g: pa.table({"n": [g.num_rows]}), n_parts=N,
+        batch_format="pyarrow").to_pandas()
+    assert len(out) <= len(blocks) + 1
+    assert out["n"].sum() == t.num_rows
+
+
+@pytest.mark.parametrize("n_blocks", [1, 6])
+def test_fold_call_never_splits_a_key_or_mixes_null(ray_session, n_blocks):
+    _assert_calls_hold_whole_keys(*_fold_calls(n_blocks))
+
+
+@pytest.mark.parametrize("n_blocks", [1, 6])
+def test_fold_call_stays_under_the_row_cap(ray_session, monkeypatch,
+                                           n_blocks):
+    from prompture_ray.stages import shuffle
+    monkeypatch.setattr(shuffle, "TARGET_ROWS_PER_PART", 30)
+    t, seen = _fold_calls(n_blocks)
+    _assert_calls_hold_whole_keys(t, seen)
+    largest = max(np.bincount(np.asarray(_ids(t, n=N))))
+    assert seen.groupby("call").size().max() <= max(30, largest)
+    assert seen["call"].nunique() > 1 + n_blocks
+
+
+# ---------------------------------------------------------------------------
 # aggregate
 # ---------------------------------------------------------------------------
 def _agg_table() -> pa.Table:
