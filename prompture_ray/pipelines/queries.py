@@ -19,7 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from prompture_ray.specs import Suite
-from prompture_ray.stages.shuffle import aggregate
+from prompture_ray.stages.shuffle import aggregate, auto_n_parts
 from prompture_ray.stages.validate import ValidateBatch
 
 # --------------------------------------------------------------------------
@@ -1591,14 +1591,13 @@ FROM documents ORDER BY doc_id
 
 def orders_customer_join(sf_dir: str):
     """Large-large equi-join (both sides shuffled, neither broadcast):
-    hash-bucket orders and customer on custkey, pd.merge per bucket —
-    the 100-TB-both-sides join shape, shuffling only the projected
-    columns."""
-    from prompture_ray.stages.joins import bucketed_equi_join
+    orders and customer meet in hash buckets on custkey, one Arrow hash
+    join per fold frame (``shuffle.join``) — the 100-TB-both-sides join
+    shape, shuffling only the projected columns."""
+    from prompture_ray.stages.shuffle import join
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    out = bucketed_equi_join(orders, cust, key="o_custkey",
-                             right_key="c_custkey")
+    out = join(orders, cust, "o_custkey", "c_custkey")
     return out.map_batches(
         lambda df: df[["o_orderkey", "c_name"]].astype(
             {"o_orderkey": "int64"}),
@@ -7379,9 +7378,10 @@ def interval_coverage_events(sf_dir: str):
             "e": pc.add(us, pc.multiply(dur.cast(pa.int64()),
                                         1_000_000))})
 
+    # sized from the plain read: counting the mapped one would run it
     return interval_coverage(
         ds.map_batches(plant, batch_format="pyarrow"),
-        "user_id", "s", "e")
+        "user_id", "s", "e", n_parts=auto_n_parts(ds))
 
 
 INTERVAL_COVERAGE_SQL = """
@@ -7433,7 +7433,7 @@ def gap_fill_hours_events(sf_dir: str):
                          "hour": hour.cast(pa.int64())})
 
     return gap_fill(ds.map_batches(prep, batch_format="pyarrow"),
-                    "event_type", "hour")
+                    "event_type", "hour", n_parts=auto_n_parts(ds))
 
 
 GAP_FILL_HOURS_SQL = """
@@ -7479,7 +7479,8 @@ def copurchase_pairs_events(sf_dir: str):
         return pa.table({"user_id": t["user_id"], "item": item})
 
     return frequent_pairs(ds.map_batches(prep, batch_format="pyarrow"),
-                          "user_id", "item", min_support=2)
+                          "user_id", "item", min_support=2,
+                          n_parts=auto_n_parts(ds))
 
 
 COPURCHASE_PAIRS_SQL = """
@@ -8247,8 +8248,8 @@ def q3_shipping_priority(sf_dir: str):
     50-slot window — locally oracle-PASSed at sf0.01 AND sf0.1."""
     from prompture_ray.stages.analytic import top_k_per_group
     from prompture_ray.stages.joins import (broadcast_join,
-                                            broadcast_semi_join,
-                                            bucketed_equi_join)
+                                            broadcast_semi_join)
+    from prompture_ray.stages.shuffle import join
     cutoff = np.datetime64("1998-06-01", "us")
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
@@ -8300,9 +8301,9 @@ def q3_shipping_priority(sf_dir: str):
             lambda b: b[["l_orderkey", "rev_units", "o_date_us"]],
             batch_format="pandas")
     else:
-        joined = bucketed_equi_join(
-            rev, orders_f, key="l_orderkey", right_key="o_orderkey",
-            right_cols=["o_orderkey", "o_date_us"]).map_batches(
+        joined = join(
+            rev, orders_f.select_columns(["o_orderkey", "o_date_us"]),
+            "l_orderkey", "o_orderkey").map_batches(
             lambda b: b[["l_orderkey", "rev_units", "o_date_us"]],
             batch_format="pandas")
 

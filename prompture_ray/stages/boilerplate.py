@@ -71,8 +71,7 @@ def boilerplate_lines(ds, text_col: str = "text", id_col: str = "doc_id",
     rejoined by ``sep`` in original order."""
     import ray
     from ray.data.aggregate import Sum
-    from prompture_ray.stages.joins import bucketed_equi_join
-    from prompture_ray.stages.shuffle import lookup
+    from prompture_ray.stages.shuffle import join, lookup
 
     # -- pass 1a: per-host distinct-doc frequency of every line --------
     def df_partials(t: pa.Table) -> pa.Table:
@@ -177,8 +176,7 @@ def boilerplate_lines(ds, text_col: str = "text", id_col: str = "doc_id",
         lambda t: t.append_column("__dup", pa.array(
             np.ones(t.num_rows, dtype=np.int64), type=pa.int64())),
         batch_format="pyarrow").materialize()
-    flagged = bucketed_equi_join(rows, marked, key="comb", how="left",
-                                 n_buckets=n_buckets)
+    flagged = join(rows, marked, "comb", how="left", n_buckets=n_buckets)
     n_cells = n_buckets * 2
 
     def add_cell(b: pd.DataFrame) -> pd.DataFrame:

@@ -696,7 +696,7 @@ def _score_pairs_bucketed(cand, sig_ds, n_perm: int, threshold: float,
 
         return cand.map_batches(score_bc, batch_format="pyarrow")
 
-    from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import join
 
     if n_buckets is None:
         n_pairs = cand.count()
@@ -707,10 +707,8 @@ def _score_pairs_bucketed(cand, sig_ds, n_perm: int, threshold: float,
     sig_b = sig_ds.map_batches(
         lambda t: pa.table({"id_b": t["id"], "sig_b": t["sig"]}),
         batch_format="pyarrow")
-    j1 = bucketed_equi_join(cand, sig_a, key="id_a",
-                            n_buckets=n_buckets).materialize()
-    j2 = bucketed_equi_join(j1, sig_b, key="id_b",
-                            n_buckets=n_buckets)
+    j1 = join(cand, sig_a, "id_a", n_buckets=n_buckets).materialize()
+    j2 = join(j1, sig_b, "id_b", n_buckets=n_buckets)
 
     def score(t: pa.Table) -> pa.Table:
         a = t["sig_a"]
@@ -1160,7 +1158,7 @@ def components_label_propagation(pairs_ds, max_rounds: int = 10,
     Returns a Dataset (id, component) for every node in ``pairs_ds``.
     Node ids are int64-EXACT at any magnitude: the tagged label/edge
     union travels as Arrow blocks and each side is split by validity
-    BEFORE any pandas conversion (the bucketed_equi_join arrow-union
+    BEFORE any pandas conversion (the ``shuffle.cogroup`` arrow-union
     pattern), so the nullable ``peer``/``label`` columns never take
     the pandas float64 null-fill that would round ids above 2^53 —
     hash64(url)-style node ids are safe (this exact corruption was
@@ -1552,7 +1550,7 @@ def ngram_contamination(train_ds, eval_ds, text_col: str, id_col: str,
     """
     import ray
     from ray.data.aggregate import Count, Sum
-    from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import join
 
     train_grams = _token_ngram_rows(train_ds, text_col, id_col, n,
                                     normalize)
@@ -1613,13 +1611,11 @@ def ngram_contamination(train_ds, eval_ds, text_col: str, id_col: str,
     eval_grams = eval_grams.materialize()   # consumed twice below
     totals = eval_grams.groupby("id").aggregate(
         Count(alias_name="total_grams"))
-    hits = bucketed_equi_join(eval_grams, distinct, key="gram",
-                              n_buckets=n_buckets)
+    hits = join(eval_grams, distinct, "gram", n_buckets=n_buckets)
     hit_counts = hits.groupby("id").aggregate(
         Count(alias_name="contaminated")).materialize()
     # totals ⋈ hit_counts (left): docs with zero hits keep contaminated=0
-    joined = bucketed_equi_join(totals, hit_counts, key="id", how="left",
-                                n_buckets=n_buckets)
+    joined = join(totals, hit_counts, "id", how="left", n_buckets=n_buckets)
     return joined.map_batches(finish, batch_format="pandas")
 
 
@@ -1670,7 +1666,7 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     (64-bit; ~n²/2^64 collision odds corpus-wide)."""
     import ray
     from ray.data.aggregate import Sum
-    from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import join
 
     def df_partials(t: pa.Table) -> pa.Table:
         flat, lens, doc_idx, h = _split_lines(t, text_col, sep)
@@ -1744,8 +1740,7 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         lambda t: t.append_column("__dup", pa.array(
             np.ones(t.num_rows, dtype=np.int64), type=pa.int64())),
         batch_format="pyarrow").materialize()
-    flagged = bucketed_equi_join(rows, marked, key="gram", how="left",
-                                 n_buckets=n_buckets)
+    flagged = join(rows, marked, "gram", how="left", n_buckets=n_buckets)
     n_cells = n_buckets * 2
 
     def add_cell(b: pd.DataFrame) -> pd.DataFrame:
@@ -1822,7 +1817,7 @@ def duplicate_span_stats(ds, text_col: str = "text",
     spans merge inside bounded ``hash(id) % cells`` frames."""
     import ray
     from ray.data.aggregate import Sum
-    from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import join
 
     grams = _token_ngram_rows(ds, text_col, id_col, n, normalize,
                               with_pos=True)
@@ -1903,9 +1898,7 @@ def duplicate_span_stats(ds, text_col: str = "text",
 
     totals = ds.map_batches(doc_totals, batch_format="pyarrow")
     grams = grams.materialize()
-    hits = bucketed_equi_join(grams, dup, key="gram",
-                              n_buckets=n_buckets,
-                              left_cols=["id", "pos", "gram"])
+    hits = join(grams, dup, "gram", n_buckets=n_buckets)
     n_cells = n_buckets * 2
 
     def add_cell(b: pd.DataFrame) -> pd.DataFrame:
@@ -1927,8 +1920,7 @@ def duplicate_span_stats(ds, text_col: str = "text",
         .groupby("__cell").map_groups(spans_cell,
                                       batch_format="pandas") \
         .materialize()
-    joined = bucketed_equi_join(totals, stats, key="id", how="left",
-                                n_buckets=n_buckets)
+    joined = join(totals, stats, "id", how="left", n_buckets=n_buckets)
     return joined.map_batches(finish, batch_format="pandas")
 
 
@@ -1977,7 +1969,7 @@ def _cut_spans_by_gramset(ds, grams, dup, text_col, id_col, n,
     (grams from ANOTHER corpus) reuses it verbatim. ``grams`` must be
     the with_pos=True gram rows of ``ds``."""
     import ray
-    from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import join
 
     def out_table(ids, lens, kept, clean) -> pa.Table:
         return pa.table({
@@ -2015,9 +2007,7 @@ def _cut_spans_by_gramset(ds, grams, dup, text_col, id_col, n,
     # is never replicated per interval), then docs × interval-strings
     # through one more bucketed join and a self-contained final map.
     grams = grams.materialize()
-    hits = bucketed_equi_join(grams, dup, key="gram",
-                              n_buckets=n_buckets,
-                              left_cols=["id", "pos", "gram"])
+    hits = join(grams, dup, "gram", n_buckets=n_buckets)
     n_cells = n_buckets * 2
 
     def add_cell(b: pd.DataFrame) -> pd.DataFrame:
@@ -2044,8 +2034,7 @@ def _cut_spans_by_gramset(ds, grams, dup, text_col, id_col, n,
                          "__text": t[text_col].combine_chunks()})
 
     docs2 = ds.map_batches(project, batch_format="pyarrow")
-    joined = bucketed_equi_join(docs2, iv, key="id", how="left",
-                                n_buckets=n_buckets)
+    joined = join(docs2, iv, "id", how="left", n_buckets=n_buckets)
 
     def clean_rows(b: pd.DataFrame) -> pd.DataFrame:
         t = pa.table({id_col: pa.array(b["id"].to_numpy(),
@@ -2108,7 +2097,6 @@ def remove_duplicate_spans(ds, text_col: str = "text",
     own interval list — text moves through the shuffle exactly once."""
     import ray
     from ray.data.aggregate import Sum
-    from prompture_ray.stages.joins import bucketed_equi_join
 
     grams = _token_ngram_rows(ds, text_col, id_col, n, normalize,
                               with_pos=True)

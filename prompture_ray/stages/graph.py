@@ -33,7 +33,7 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst",
     simple formulation (no redistribution term) — documented choice so
     the oracle recurrence stays closed-form."""
     from ray.data.aggregate import Sum, Count
-    from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import join
 
     def proj(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -57,8 +57,7 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst",
 
     # fold 1/outdeg into the edges once
     outdeg = e.groupby("src").aggregate(Count(alias_name="outdeg"))
-    e = bucketed_equi_join(e, outdeg, key="src",
-                           n_buckets=n_buckets).materialize()
+    e = join(e, outdeg, "src", n_buckets=n_buckets).materialize()
 
     def seed(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -83,10 +82,7 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst",
         return ds_
 
     for _ in range(k):
-        contrib_in = bucketed_equi_join(
-            e, ranks, key="src", right_key="node",
-            left_cols=["src", "dst", "outdeg"],
-            right_cols=["node", "rank"], n_buckets=n_buckets)
+        contrib_in = join(e, ranks, "src", "node", n_buckets=n_buckets)
 
         def contrib(b: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({
@@ -95,9 +91,8 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst",
 
         sums = contrib_in.map_batches(contrib, batch_format="pandas") \
             .groupby("dst").aggregate(Sum("c", alias_name="insum"))
-        joined = bucketed_equi_join(nodes, sums, key="node",
-                                    right_key="dst", how="left",
-                                    n_buckets=n_buckets)
+        joined = join(nodes, sums, "node", "dst", how="left",
+                      n_buckets=n_buckets)
 
         def update(b: pd.DataFrame) -> pd.DataFrame:
             s = b["insum"].fillna(0.0).to_numpy()
@@ -426,7 +421,7 @@ def k_core(edges, k: int, a_col: str = "src", b_col: str = "dst", *,
     import ray
     import ray.data as rd
     from ray.data.aggregate import Sum
-    from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import join
 
     if k < 1:
         raise ValueError("k_core: k must be >= 1")
@@ -484,21 +479,10 @@ def k_core(edges, k: int, a_col: str = "src", b_col: str = "dst", *,
             alive_u = alive.map_batches(
                 lambda t: pa.table({"node": t["node"]}),
                 batch_format="pyarrow")
-            j1 = bucketed_equi_join(ded, alive_u, key="u",
-                                    right_key="node",
-                                    n_buckets=n_buckets,
-                                    left_cols=["u", "v"],
-                                    right_cols=["node"])
-            j1 = j1.map_batches(
-                lambda b: b[["u", "v"]], batch_format="pandas")
-            j2 = bucketed_equi_join(j1, alive_u, key="v",
-                                    right_key="node",
-                                    n_buckets=n_buckets,
-                                    left_cols=["u", "v"],
-                                    right_cols=["node"])
-            ded = j2.map_batches(
-                lambda b: b[["u", "v"]],
-                batch_format="pandas").materialize()
+            j1 = join(ded, alive_u, "u", "node", n_buckets=n_buckets) \
+                .select_columns(["u", "v"])
+            ded = join(j1, alive_u, "v", "node", n_buckets=n_buckets) \
+                .select_columns(["u", "v"]).materialize()
     raise RuntimeError(
         f"k_core: no fixpoint within max_rounds={max_rounds} "
         "(raise the cap; peeling depth equals the graph's "
@@ -530,14 +514,14 @@ def hits_scores(edges, src_col: str = "src", dst_col: str = "dst",
     half-round is a zero-join pass (per-batch searchsorted attach +
     in-batch partial sums) plus ONE narrow grouped Sum bounded by
     nodes × blocks, with an O(nodes) guarded driver fold. Beyond
-    that, each half-round is one ``bucketed_equi_join`` (edges ×
+    that, each half-round is one ``shuffle.join`` (edges ×
     score table) + one grouped Sum, exactly the pagerank iteration
     shape; score-table block count is re-bounded every round (the
     components-round lesson). Both paths are equality-tested via
     ``broadcast_max=0``."""
     import ray
     from ray.data.aggregate import Sum, Count
-    from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import join
 
     def proj(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -583,10 +567,7 @@ def hits_scores(edges, src_col: str = "src", dst_col: str = "dst",
 
     def _half(score_ds, score_col, join_key, group_key, out_col):
         """auth pass: join on src, sum hub into dst (and vice versa)."""
-        j = bucketed_equi_join(
-            e, score_ds, key=join_key, right_key="node",
-            left_cols=["src", "dst"],
-            right_cols=["node", score_col], n_buckets=n_buckets)
+        j = join(e, score_ds, join_key, "node", n_buckets=n_buckets)
 
         def contrib(b: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({
@@ -596,8 +577,7 @@ def hits_scores(edges, src_col: str = "src", dst_col: str = "dst",
 
         sums = j.map_batches(contrib, batch_format="pandas") \
             .groupby("node").aggregate(Sum("v", alias_name="v"))
-        full = bucketed_equi_join(nodes, sums, key="node",
-                                  how="left", n_buckets=n_buckets)
+        full = join(nodes, sums, "node", how="left", n_buckets=n_buckets)
 
         def finish(b: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({
@@ -613,8 +593,7 @@ def hits_scores(edges, src_col: str = "src", dst_col: str = "dst",
         auths = _half(hubs, "hub", "src", "dst", "auth")
         hubs = _half(auths, "auth", "dst", "src", "hub")
 
-    out = bucketed_equi_join(hubs, auths, key="node",
-                             n_buckets=n_buckets)
+    out = join(hubs, auths, "node", n_buckets=n_buckets)
 
     def sel(t: pa.Table) -> pa.Table:
         return pa.table({

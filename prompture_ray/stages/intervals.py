@@ -47,7 +47,11 @@ def interval_coverage(ds, key_col: str, start_col: str, end_col: str,
     ``[start, end)``: Dataset ``(key_col, n_intervals, n_islands,
     covered)``. Intervals with ``end <= start`` are dropped (documented
     contract — zero/negative spans contribute nothing to a union).
-    See module docstring for the island rule and the scale shape."""
+    See module docstring for the island rule and the scale shape.
+    Without ``n_parts``, ``auto_n_parts(ds)`` sizes the shuffle by
+    counting ``ds``: cheap for a plain parquet read, a full run of a
+    mapped or projected input, so pass ``n_parts`` for those (the
+    registry query sizes it from its plain read)."""
     nparts = n_parts or auto_n_parts(ds)
 
     def tag(t: pa.Table) -> pa.Table:
@@ -100,7 +104,11 @@ def gap_fill(ds, key_col: str, step_col: str, *,
     Scale shape: per-batch Arrow partial counts (≤ keys × steps rows
     per batch) → ONE ``shuffle.partition_fold`` of the partial rows →
     one vectorized expansion pass per fold frame (repeat/arange over all
-    keys at once + searchsorted merge of the observed counts)."""
+    keys at once + searchsorted merge of the observed counts).
+    Without ``n_parts``, ``auto_n_parts(ds)`` sizes the shuffle by
+    counting ``ds``: cheap for a plain parquet read, a full run of a
+    mapped or projected input, so pass ``n_parts`` for those (the
+    registry query sizes it from its plain read)."""
     nparts = n_parts or auto_n_parts(ds)
 
     def partial(t: pa.Table) -> pa.Table:

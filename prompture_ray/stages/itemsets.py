@@ -66,7 +66,11 @@ def frequent_pairs(ds, basket_col: str, item_col: str, *,
                    n_parts: int | None = None):
     """Dataset ``(item_a, item_b, support)`` of unordered item pairs
     (``item_a < item_b``) co-occurring in at least ``min_support``
-    baskets. See module docstring for the contract and scale shape."""
+    baskets. See module docstring for the contract and scale shape.
+    Without ``n_parts``, ``auto_n_parts(ds)`` sizes the shuffle by
+    counting ``ds``: cheap for a plain parquet read, a full run of a
+    mapped or projected input, so pass ``n_parts`` for those (the
+    registry query sizes it from its plain read)."""
     from ray.data.aggregate import Sum
 
     nparts = n_parts or auto_n_parts(ds)

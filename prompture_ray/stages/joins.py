@@ -1,4 +1,5 @@
-"""Join strategies: broadcast hash join / semi / anti, as-of join.
+"""Join strategies: broadcast hash join / semi / anti, as-of and
+interval joins.
 
 The reference has no relational join — only broadcast dict lookups
 (prompture/infra/model_rates.py:257-278) and the KG entity lookup
@@ -6,9 +7,14 @@ The reference has no relational join — only broadcast dict lookups
 
 - broadcast join: small side → ``ray.put`` once, vectorized lookup per
   batch (no shuffle) — the default for dimension tables.
-- bucketed as-of join: both sides hash-bucketed on the key; per bucket a
-  ``pd.merge_asof`` over ts-sorted frames (ray_guide as-of pattern). Used
-  when the right side exceeds the broadcast threshold.
+- bucketed as-of and interval joins: both sides meet in
+  ``shuffle.cogroup`` buckets on the key; per fold frame a
+  ``pd.merge_asof`` over ts-sorted frames (ray_guide as-of pattern) or a
+  searchsorted run expansion. Used when the right side exceeds the
+  broadcast threshold.
+
+The both-sides-large equi-join is ``shuffle.join`` (one Arrow hash join
+per fold frame, on the same ``cogroup`` runner).
 """
 
 from __future__ import annotations
@@ -18,62 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from prompture_ray.stages.shuffle import partition_ids
-
-
-def _empty_frame(schema, cols: list) -> pd.DataFrame:
-    """Typed empty pandas frame for one side of a bucketed join — the
-    per-bucket fallback when a group block carries only the OTHER side's
-    columns (a sort block can hold rows of a single side)."""
-    dtypes = {}
-    for n, t in zip(schema.names, schema.types):
-        if n not in cols:
-            continue
-        try:
-            if isinstance(t, pa.DataType):
-                dtypes[n] = np.dtype(t.to_pandas_dtype())
-            else:
-                dtypes[n] = np.dtype(t)
-        except (TypeError, NotImplementedError):
-            dtypes[n] = np.dtype(object)
-    return pd.DataFrame({c: pd.Series(dtype=dtypes.get(c, np.dtype(object)))
-                         for c in cols})
-
-
-def _arrow_tag(side_val: int, k: str, cols: list, n_buckets: int, ctx: str):
-    """Project + bucket-tag one side of a bucketed join as ARROW blocks.
-    Ray's arrow schema unification null-extends a side's missing columns
-    KEEPING their types, so an int64 key/payload whose magnitude exceeds
-    2^53 (every hash64-derived column in this repo) survives bit-exact.
-    The earlier pandas tagged union widened such columns to float64
-    during null fill — the silent-corruption class found and fixed for
-    the equi-join in round 4; all three bucketed joins now share this
-    arrow form."""
-    def fn(t: pa.Table) -> pa.Table:
-        t = t.select(cols)
-        # a null never equi-matches: callers drop null-key rows first
-        if pc.any(pc.is_null(t[k], nan_is_null=True)).as_py():
-            raise ValueError(f"{ctx}: null join keys are not supported — "
-                             "filter null-key rows before the join")
-        # shuffle.partition_ids buckets equal keys together even when the
-        # sides carry different dtypes (int64 vs integral float64)
-        t = t.append_column("__bucket", partition_ids(t, [k], n_buckets))
-        return t.append_column("__side", pa.array(
-            np.full(t.num_rows, side_val, dtype=np.int64)))
-    return fn
-
-
-def _arrow_side_pdf(g: pa.Table, val: int, cols: list,
-                    empty: pd.DataFrame) -> pd.DataFrame:
-    """One side's rows of an arrow tagged-union group, as pandas. Rows of
-    this side carry no fill-nulls in their OWN columns, so integer types
-    convert exactly; a group block missing this side's columns has no
-    rows of this side — return the typed empty so every bucket's output
-    schema is identical."""
-    sub = g.filter(pc.equal(g["__side"], val))
-    if sub.num_rows == 0 or any(c not in sub.column_names for c in cols):
-        return empty.copy()
-    return sub.select(cols).to_pandas()
+from prompture_ray.stages.shuffle import cogroup
 
 
 # ---------------------------------------------------------------------------
@@ -171,30 +122,31 @@ def broadcast_asof_join(ds, right_df: "pd.DataFrame", key: str, ts: str,
     return ds.map_batches(join, batch_format="pandas")
 
 
+def _no_null_keys(t: pa.Table, key: str, ctx: str) -> pa.Table:
+    # a null never equi-matches: callers drop null-key rows first
+    if pc.any(pc.is_null(t[key], nan_is_null=True)).as_py():
+        raise ValueError(f"{ctx}: null join keys are not supported — "
+                         "filter null-key rows before the join")
+    return t
+
+
 def bucketed_asof_join(left_ds, right_ds, key: str, ts: str,
                        right_key: str | None = None,
                        right_ts: str | None = None,
                        n_buckets: int = 32):
-    """Both-sides-large as-of join: hash-bucket on the key, per-bucket
-    ``pd.merge_asof`` over sorted frames (one narrow shuffle). The tagged
-    union travels as ARROW blocks (see ``_arrow_tag``) so int64 keys and
-    payloads above 2^53 survive bit-exact. Key dtypes must match across
-    sides (``merge_asof`` requires equal ``by`` dtypes)."""
+    """Both-sides-large as-of join: both sides meet in ``shuffle.cogroup``
+    buckets on the key (one narrow shuffle), then one ``pd.merge_asof``
+    over ts-sorted frames per fold frame. Each side converts to pandas
+    only after the side split, so int64 keys and payloads above 2^53
+    survive bit-exact. Key dtypes must match across sides
+    (``merge_asof`` requires equal ``by`` dtypes)."""
     right_key = right_key or key
     right_ts = right_ts or ts
-    ls, rs = left_ds.schema(), right_ds.schema()
-    lc, rc = list(ls.names), list(rs.names)
-    l_empty, r_empty = _empty_frame(ls, lc), _empty_frame(rs, rc)
+    ctx = "bucketed_asof_join"
 
-    tagged = left_ds.map_batches(
-        _arrow_tag(0, key, lc, n_buckets, "bucketed_asof_join"),
-        batch_format="pyarrow").union(right_ds.map_batches(
-            _arrow_tag(1, right_key, rc, n_buckets, "bucketed_asof_join"),
-            batch_format="pyarrow"))
-
-    def per_bucket(g: pa.Table) -> pd.DataFrame:
-        left = _arrow_side_pdf(g, 0, lc, l_empty)
-        right = _arrow_side_pdf(g, 1, rc, r_empty)
+    def per_frame(l: pa.Table, r: pa.Table) -> pd.DataFrame:
+        left = _no_null_keys(l, key, ctx).to_pandas()
+        right = _no_null_keys(r, right_key, ctx).to_pandas()
         left = left.sort_values(ts, kind="mergesort")
         right = right.sort_values(right_ts, kind="mergesort")
         # unify timestamp resolutions (arrow→pandas may yield us vs ns)
@@ -203,16 +155,15 @@ def bucketed_asof_join(left_ds, right_ds, key: str, ts: str,
             .astype("datetime64[us]")
         # right int payloads → nullable Int64: merge_asof's left-outer
         # shape fills unmatched rows with a null, and plain int64 would
-        # widen to float64 there (rounding payloads above 2^53 — the
-        # exact corruption class the arrow union fixes upstream)
+        # widen to float64 there (rounding payloads above 2^53)
         for c in right.columns:
             if c not in (right_key, right_ts) and right[c].dtype.kind in "iu":
                 right[c] = right[c].astype("Int64")
         return pd.merge_asof(left, right, left_on=ts, right_on=right_ts,
                              left_by=key, right_by=right_key)
 
-    return tagged.groupby("__bucket").map_groups(per_bucket,
-                                                 batch_format="pyarrow")
+    return cogroup(left_ds, right_ds, [key], [right_key], per_frame,
+                   n_buckets=n_buckets)
 
 
 ASOF_BROADCAST_MAX = 2_000_000
@@ -317,24 +268,14 @@ def bucketed_interval_join(left_ds, right_ds, key: str, ts: str,
                            right_key: str, right_start: str,
                            length, right_cols: list[str],
                            n_buckets: int = 32):
-    """Both-sides-large fixed-length interval join: hash-bucket both
-    sides on the key (one narrow shuffle), then run the same contiguous-
-    run searchsorted expansion as the broadcast form per bucket. The
-    tagged union travels as ARROW blocks (see ``_arrow_tag``) so int64
-    keys and payloads above 2^53 survive bit-exact."""
+    """Both-sides-large fixed-length interval join: both sides meet in
+    ``shuffle.cogroup`` buckets on the key (one narrow shuffle), then the
+    same contiguous-run searchsorted expansion as the broadcast form runs
+    per fold frame. Each side converts to pandas only after the side
+    split, so int64 keys and payloads above 2^53 survive bit-exact."""
     length_us = int(pd.Timedelta(length).value // 1000)
-    ls, rs = left_ds.schema(), right_ds.schema()
-    lc = list(ls.names)
     rc = list(dict.fromkeys([right_key, right_start] + list(right_cols)))
-    l_empty = _empty_frame(ls, lc)
-    r_empty = _empty_frame(rs, rc)
-
-    tagged = left_ds.map_batches(
-        _arrow_tag(0, key, lc, n_buckets, "bucketed_interval_join"),
-        batch_format="pyarrow").union(right_ds.map_batches(
-            _arrow_tag(1, right_key, rc, n_buckets,
-                       "bucketed_interval_join"),
-            batch_format="pyarrow"))
+    ctx = "bucketed_interval_join"
 
     def _us(arr) -> np.ndarray:
         return pd.to_datetime(arr).astype("datetime64[us]") \
@@ -342,14 +283,13 @@ def bucketed_interval_join(left_ds, right_ds, key: str, ts: str,
 
     out_right_cols = [c for c in right_cols if c != right_key]
 
-    def per_bucket(g: pa.Table) -> pd.DataFrame:
-        left = _arrow_side_pdf(g, 0, lc, l_empty)
-        right = _arrow_side_pdf(g, 1, rc, r_empty)
+    def per_frame(l: pa.Table, r: pa.Table) -> pd.DataFrame:
+        left = _no_null_keys(l, key, ctx).to_pandas()
+        right = _no_null_keys(r, right_key, ctx).to_pandas()
         if left.empty or right.empty:
             out = left.iloc[0:0].copy()
             for c in out_right_cols:
-                out[c] = pd.Series([], dtype=r_empty[c].dtype
-                                   if c in r_empty else object)
+                out[c] = pd.Series([], dtype=right[c].dtype)
             return out
         right = right.sort_values(right_start, kind="mergesort")
         rgroups = {k: g for k, g in right.groupby(right_key, sort=False)}
@@ -375,8 +315,7 @@ def bucketed_interval_join(left_ds, right_ds, key: str, ts: str,
         if not left_rows:
             out = left.iloc[0:0].copy()
             for c in out_right_cols:
-                out[c] = pd.Series([], dtype=r_empty[c].dtype
-                                   if c in r_empty else object)
+                out[c] = pd.Series([], dtype=right[c].dtype)
             return out
         li = np.concatenate(left_rows)
         out = left.iloc[li].copy()
@@ -384,8 +323,8 @@ def bucketed_interval_join(left_ds, right_ds, key: str, ts: str,
             out[c] = np.concatenate(right_taken[c])
         return out.reset_index(drop=True)
 
-    return tagged.groupby("__bucket").map_groups(per_bucket,
-                                                 batch_format="pyarrow")
+    return cogroup(left_ds, right_ds.select_columns(rc), [key], [right_key],
+                   per_frame, n_buckets=n_buckets)
 
 
 def interval_join(left_ds, right_ds, key: str, ts: str, right_key: str,
@@ -402,56 +341,6 @@ def interval_join(left_ds, right_ds, key: str, ts: str, right_key: str,
     return bucketed_interval_join(left_ds, right_ds, key, ts, right_key,
                                   right_start, length, right_cols,
                                   n_buckets)
-
-
-# ---------------------------------------------------------------------------
-# large-large equi-join
-# ---------------------------------------------------------------------------
-
-
-def bucketed_equi_join(left_ds, right_ds, key: str,
-                       right_key: str | None = None,
-                       how: str = "inner", n_buckets: int = 32,
-                       left_cols: list[str] | None = None,
-                       right_cols: list[str] | None = None):
-    """Both-sides-large equi-join: hash-bucket each side on its key (ONE
-    narrow shuffle over the projected columns), union, and pd.merge per
-    bucket. The shuffle moves only ``left_cols``/``right_cols`` — project
-    before joining, like every wide operator here. Skewed keys land in
-    one bucket; salt the key upstream (stages/salted.py pattern) if a
-    single key's rows exceed a worker's heap.
-
-    Broadcast beats this whenever one side fits in the object store —
-    use ``broadcast_join`` there; this is the 100-TB-both-sides form.
-
-    The tagged union travels as ARROW blocks end to end (``_arrow_tag``
-    docstring has the int64>2^53 history); each side converts to pandas
-    only AFTER the side split, when its own columns carry no fill-nulls.
-    """
-    right_key = right_key or key
-    # fixed per-side column lists: every bucket's output is reindexed to
-    # the same schema, so sparser data (a bucket with an all-null column
-    # or no right-side rows) can't diverge block schemas (ADVICE r3)
-    ls, rs = left_ds.schema(), right_ds.schema()
-    lc = list(left_cols) if left_cols else list(ls.names)
-    rc = list(right_cols) if right_cols else list(rs.names)
-    l_empty = _empty_frame(ls, lc)
-    r_empty = _empty_frame(rs, rc)
-
-    tagged = left_ds.map_batches(
-        _arrow_tag(0, key, lc, n_buckets, "bucketed_equi_join"),
-        batch_format="pyarrow").union(right_ds.map_batches(
-            _arrow_tag(1, right_key, rc, n_buckets, "bucketed_equi_join"),
-            batch_format="pyarrow"))
-
-    def per_bucket(g: pa.Table) -> pd.DataFrame:
-        left = _arrow_side_pdf(g, 0, lc, l_empty)
-        right = _arrow_side_pdf(g, 1, rc, r_empty)
-        return pd.merge(left, right, left_on=key, right_on=right_key,
-                        how=how)
-
-    return tagged.groupby("__bucket").map_groups(per_bucket,
-                                                 batch_format="pyarrow")
 
 
 def range_lookup(ds, value_col: str, bounds, labels,

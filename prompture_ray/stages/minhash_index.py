@@ -519,12 +519,12 @@ def minhash_index_flags_partitioned(ds, index_dir: str,
             lambda g: distinct_pairs(g.drop_columns(["_p"])),
             batch_format="pyarrow").materialize()
 
-    from prompture_ray.stages.joins import bucketed_equi_join
-    paired = bucketed_equi_join(
+    from prompture_ray.stages.shuffle import join
+    paired = join(
         cand_d, wave_sigs.map_batches(
             lambda t: t.rename_columns(["wave_id", "wave_sig"]),
             batch_format="pyarrow"),
-        key="wave_id", n_buckets=max(8, n_parts // 2))
+        "wave_id", n_buckets=max(8, n_parts // 2))
 
     def tag_sigbucket(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()

@@ -1,23 +1,31 @@
 """Hash partitioning on a key: the one place a key value becomes a
 hash or a partition id, the per-key fold built on it, the grouped
-aggregate built on the fold, and the keyed lookup that maps a per-key
-table back onto rows.
+aggregate built on the fold, the two-sided bucket runner with the
+equi-join built on it, and the keyed lookup that maps a per-key table
+back onto rows.
 
 Most per-key operators in ``stages/`` share one scale shape:
 hash-partition the rows on the key so every key lands wholly in one
 partition, then run ONE vectorized pass per fold frame (never a pandas
 frame per key, no driver state). ``partition_fold`` is that shape;
-``partition_ids`` is its partitioner, which the bucketed joins also use.
-A fold frame is one or more whole partitions of a sorted block, the
-null-key partition always alone (``_fold_partitions``). The other
-common shape attaches a per-key aggregate (a group prior, quantile
-bounds, a term total) back to every row: ``lookup`` does it with one
-size dispatch — a small table is broadcast, a large one meets the rows
-in ``partition_ids`` buckets, folded the same way — and one probe for
-both. The third shape is the grouped count/sum/min/max: ``aggregate``
-combines each batch with one Arrow ``group_by`` and merges the partials
-in a ``partition_fold`` with one more per fold frame, where Ray's
-``groupby().aggregate`` walks every row in Python.
+``partition_ids`` is its partitioner. A fold frame is one or more whole
+partitions of a sorted block, the null-key partition always alone
+(``_fold_partitions``). The grouped count/sum/min/max is built on it:
+``aggregate`` combines each batch with one Arrow ``group_by`` and
+merges the partials in a ``partition_fold`` with one more per fold
+frame, where Ray's ``groupby().aggregate`` walks every row in Python.
+
+When two Datasets meet on a key, ``cogroup`` is the shape: both sides
+are tagged with their ``partition_ids`` bucket, unioned as Arrow blocks
+and folded the same way, and its function gets each fold frame's rows
+of the two sides as two typed Arrow tables. Built on it: ``join`` (the
+both-sides-large equi-join, one Arrow hash join per frame), the bucketed
+path of ``lookup``, the bucketed as-of and interval joins
+(``stages/joins.py``) and the partitioned referential anti-join
+(``stages/table_checks.py``). ``lookup`` attaches a per-key aggregate
+(a group prior, quantile bounds, a term total) back to every row with
+one size dispatch — a small table is broadcast, a large one meets the
+rows in ``cogroup`` buckets — and one probe for both.
 
 Partition-id rule (a result must not depend on block layout):
 
@@ -47,6 +55,15 @@ table keys sharing a hash raise ``ValueError``. A key with any null (or
 NaN) component never matches, as in a SQL join, and a miss gives null
 payload columns. Payloads keep their Arrow types on both paths (an
 int64 above 2^53 stays exact).
+
+Join rule (``join``): keys match as in the lookup rule (by hash, then
+by value, so 5.0 meets 5 and a shared hash is no match; a key with any
+null or NaN component never matches); every matching left and right row
+pair gives one output row, and a left join adds each unmatched left row
+once with null right columns. Every column keeps its Arrow type on both
+sides (an int64 payload above 2^53 stays exact next to a miss's null;
+list columns ride along). Columns: the left ones, then the right ones
+without a right key named as its left key (pandas ``merge``'s shape).
 
 Aggregate rule (``aggregate``, Ray's where they agree): a null key is
 its own group, and a NaN key is a group apart from null (both go to
@@ -114,14 +131,22 @@ def key_hash(table: pa.Table, cols: list):
     return h, null, vals
 
 
+def _keys_equal(a: list, b: list) -> np.ndarray:
+    """Row-wise equality of two aligned lists of per-column key values
+    (``key_hash``'s third item) under the rule above: 5.0 equals 5."""
+    same = np.ones(len(a[0]), dtype=bool)
+    for x, y in zip(a, b):
+        if x.dtype != y.dtype:
+            x, y = x.astype(object), y.astype(object)
+        same &= np.asarray(x == y, dtype=bool)
+    return same
+
+
 def partition_ids(table: pa.Table, cols: list, n_parts: int) -> pa.Array:
     """int64 partition id per row of ``table`` keyed on ``cols``: ids in
     ``[0, n_parts)`` for non-null keys, ``n_parts`` for any row with a
     null key component (see the module docstring for the rule)."""
-    return _pids(*key_hash(table, cols)[:2], n_parts)
-
-
-def _pids(h: np.ndarray, null: np.ndarray, n_parts: int) -> pa.Array:
+    h, null, _ = key_hash(table, cols)
     pid = (h % np.uint64(n_parts)).astype(np.int64)
     pid[null] = n_parts
     return pa.array(pid, type=pa.int64())
@@ -132,8 +157,11 @@ TARGET_ROWS_PER_PART = 5_000_000
 
 def auto_n_parts(ds, target: int = TARGET_ROWS_PER_PART) -> int:
     """Partition count that keeps a ``partition_fold`` frame near
-    ``target`` rows (at least 64). ``count()`` on a projected parquet
-    read is metadata-cheap, so nothing is materialized."""
+    ``target`` rows (at least 64). It calls ``ds.count()``, which reads
+    only file metadata for a plain parquet read or a materialized
+    Dataset, but executes every other input: a projected
+    (``select_columns``) or mapped read is read in full. Callers pass
+    ``n_parts`` or such a cheap input."""
     return max(64, int(np.ceil(ds.count() / target)))
 
 
@@ -288,6 +316,130 @@ def aggregate(ds, keys: list, **outs):
 
 
 # ---------------------------------------------------------------------------
+# two-sided buckets: cogroup and the equi-join on it
+# ---------------------------------------------------------------------------
+def _arrow_schema(ds) -> pa.Schema:
+    """Arrow schema of ``ds``; a type a pandas-backed Dataset reports
+    as a Python class (an object column) becomes null."""
+    s = ds.schema()
+    if s is None:
+        return pa.schema([])
+    return pa.schema([(n, t if isinstance(t, pa.DataType) else pa.null())
+                      for n, t in zip(s.names, s.types)])
+
+
+def cogroup(left, right, on: list, right_on: list, fn, *, n_buckets: int):
+    """Run ``fn(l, r)`` over the rows of ``left`` and ``right`` that
+    share ``partition_ids`` buckets (``left`` keyed on ``on``, ``right``
+    on ``right_on``, ``n_buckets`` buckets): ``l`` and ``r`` are Arrow
+    tables with each side's own column names and types, either possibly
+    empty, holding one or more whole buckets (``_fold_partitions``), so
+    two equal keys always meet in one call. ``fn`` returns the frame's
+    output block; it runs once for every frame that holds a row of
+    either side. Null-key rows of both sides come together in the null
+    frame, which always comes alone.
+
+    Both sides are tagged with their bucket and a side marker; the right
+    side's columns travel renamed, so the Arrow union cannot clash on a
+    name or a type. A sorted block may hold rows of one side only, and
+    then lacks the other side's columns: that side comes as a typed
+    empty table built once from its schema."""
+    on, right_on = list(on), list(right_on)
+    ls, rs = _arrow_schema(left), _arrow_schema(right)
+    rtmp = [f"__r{i}" for i in range(len(rs))]
+
+    def tag(cols: list, names: list, is_right: bool):
+        def tag_block(t: pa.Table) -> pa.Table:
+            pid = partition_ids(t, cols, n_buckets)
+            return pa.Table.from_arrays(
+                [*t.columns, pid, pa.array(np.full(t.num_rows, is_right))],
+                [*names, "__pb", "__right"])
+        return tag_block
+
+    def side(g: pa.Table, mask, names: list, schema: pa.Schema):
+        if not set(names) <= set(g.column_names):
+            return schema.empty_table()
+        return g.filter(mask).select(names).rename_columns(schema.names)
+
+    def run(g: pa.Table):
+        is_right = g["__right"]
+        return fn(side(g, pc.invert(is_right), ls.names, ls),
+                  side(g, is_right, rtmp, rs))
+
+    tagged = left.map_batches(tag(on, ls.names, False),
+                              batch_format="pyarrow").union(
+        right.map_batches(tag(right_on, rtmp, True),
+                          batch_format="pyarrow"))
+    return _fold_partitions(tagged, run, n_buckets)
+
+
+def _matches(l: pa.Table, on: list, r: pa.Table, right_on: list):
+    """``(li, ri)`` row index pairs of ``l`` and ``r`` whose keys are
+    equal under the key rule, ordered by ``li`` then ``ri``. Arrow's
+    hash join pairs the rows on the key hash (key and row-index columns
+    only: a join over the full rows rejects list payloads), then the key
+    values are compared, so a hash shared by two keys is no match. A key
+    with any null component never matches."""
+    lh, lnull, lv = key_hash(l, on)
+    rh, rnull, rv = key_hash(r, right_on)
+    li, ri = np.flatnonzero(~lnull), np.flatnonzero(~rnull)
+    m = pa.table({"h": lh[li], "i": li}).join(
+        pa.table({"h": rh[ri], "j": ri}), "h", join_type="inner",
+        use_threads=False)
+    li, ri = m["i"].to_numpy(), m["j"].to_numpy()
+    same = _keys_equal([a[li] for a in lv], [b[ri] for b in rv])
+    li, ri = li[same], ri[same]
+    order = np.lexsort((ri, li))
+    return li[order], ri[order]
+
+
+def join(left, right, on, right_on=None, *, how: str = "inner",
+         n_buckets: int = 32):
+    """Equi-join of two Datasets on ``on`` = ``right_on`` (a column
+    name or a list; ``right_on`` defaults to ``on``): ``how="inner"``
+    keeps the matching row pairs, ``"left"`` also keeps every unmatched
+    left row with null right columns. Both sides meet in ``cogroup``
+    buckets; project them to the columns you need first.
+
+    Contract (the module docstring's join rule): keys match as in
+    ``lookup`` (5.0 meets 5, a null never matches); every column keeps
+    its Arrow type, a left join's null-filled right payloads included;
+    the output holds the left columns, then the right ones, with a right
+    key column dropped where its name equals its left key's (pandas
+    ``merge``'s shape). Another column name on both sides raises
+    ``ValueError``."""
+    on = [on] if isinstance(on, str) else list(on)
+    right_on = on if right_on is None else \
+        [right_on] if isinstance(right_on, str) else list(right_on)
+    if how not in ("inner", "left"):
+        raise ValueError(f"join: how must be 'inner' or 'left', not {how!r}")
+    drop = [rk for lk, rk in zip(on, right_on) if lk == rk]
+
+    def per_frame(l: pa.Table, r: pa.Table) -> pa.Table:
+        li, ri = _matches(l, on, r, right_on)
+        r = r.drop_columns(drop)
+        clash = set(l.column_names) & set(r.column_names)
+        if clash:
+            raise ValueError(f"join: columns {sorted(clash)} are on both "
+                             f"sides; rename or drop them first")
+        n_hit = len(li)
+        if how == "left":
+            # then every left row without a match, its right index null
+            alone = np.ones(l.num_rows, dtype=bool)
+            alone[li] = False
+            li = np.concatenate([li, np.flatnonzero(alone)])
+            ri = np.concatenate([ri, np.zeros(len(li) - n_hit, np.int64)])
+        miss = np.arange(len(li)) >= n_hit
+        lt = l.take(pa.array(li, type=pa.int64()))
+        rt = r.take(pa.array(ri, type=pa.int64(), mask=miss))
+        return pa.Table.from_arrays(lt.columns + rt.columns,
+                                    lt.column_names + rt.column_names)
+
+    return cogroup(left, right, on, right_on, per_frame,
+                   n_buckets=n_buckets)
+
+
+# ---------------------------------------------------------------------------
 # keyed lookup
 # ---------------------------------------------------------------------------
 # table rows up to which an operator without its own size knob
@@ -329,13 +481,7 @@ def _probe(side, h: np.ndarray, null: np.ndarray, keys: list) -> pa.Table:
     hit[hit] = hs[pos[hit]] == h[hit]
     hit &= ~null
     at = pos[hit]
-    same = np.ones(len(at), dtype=bool)
-    for k, tk in zip(keys, tkeys):
-        k, tk = k[hit], tk[at]
-        if k.dtype != tk.dtype:
-            k, tk = k.astype(object), tk.astype(object)
-        same &= np.asarray(k == tk, dtype=bool)
-    hit[hit] = same
+    hit[hit] = _keys_equal([k[hit] for k in keys], [tk[at] for tk in tkeys])
     return payload.take(pa.array(pos, type=pa.int64(), mask=~hit))
 
 
@@ -343,14 +489,6 @@ def _append(t: pa.Table, got: pa.Table) -> pa.Table:
     for c in got.column_names:
         t = t.append_column(c, got[c])
     return t
-
-
-def _arrow_types(ds, cols: list) -> list:
-    """Arrow type of each of ``cols`` in ``ds`` (null where unknown)."""
-    s = ds.schema()
-    types = dict(zip(s.names, s.types)) if s is not None else {}
-    return [t if isinstance(t, pa.DataType) else pa.null()
-            for t in (types.get(c) for c in cols)]
 
 
 def lookup(ds, table, on: list, values: list, *, broadcast_max: int,
@@ -373,18 +511,16 @@ def lookup(ds, table, on: list, values: list, *, broadcast_max: int,
       sorted by key hash and shared with ``ray.put``; rows never
       shuffle. The driver peaks near 4x the table's key, hash and
       payload bytes while it builds the sorted side.
-    - beyond that, both sides are tagged with their key hash and
-      ``partition_ids`` bucket (of ``n_buckets``), unioned as Arrow
-      blocks (so payload types survive the union) and the same probe
-      runs once per run of whole buckets (``_fold_partitions``).
+    - beyond that, both sides meet in ``cogroup`` buckets (of
+      ``n_buckets``) and the same probe runs once per fold frame.
     """
     import ray
 
     on, values = list(on), list(values)
     tmp = [f"__v{i}" for i in range(len(values))]
     tkey = [f"__rk{i}" for i in range(len(on))]
-    empty = pa.schema(list(zip(tmp, _arrow_types(table, values)))) \
-        .empty_table()
+    empty = _arrow_schema(table).empty_table().select(values) \
+        .rename_columns(tmp)
 
     def tag_table(t: pa.Table) -> pa.Table:
         # hashed block by block: a block's key type may differ (an int
@@ -395,8 +531,7 @@ def lookup(ds, table, on: list, values: list, *, broadcast_max: int,
         return pa.Table.from_arrays(
             t.select(values).columns + t.select(on).columns,
             tmp + tkey).filter(pa.array(keep)) \
-            .append_column("__rh", pa.array(h[keep])) \
-            .append_column("__pb", _pids(h[keep], null[keep], n_buckets))
+            .append_column("__rh", pa.array(h[keep]))
 
     def side(parts: list):
         """The probe's table side from ``tag_table`` rows."""
@@ -420,29 +555,11 @@ def lookup(ds, table, on: list, values: list, *, broadcast_max: int,
 
         return ds.map_batches(attach, batch_format="pyarrow")
 
-    def tag_rows(b: pa.Table) -> pa.Table:
-        h, null, _ = key_hash(b, on)
-        return b.append_column("__lh", pa.array(h)) \
-            .append_column("__pb", _pids(h, null, n_buckets))
+    def per_frame(rows: pa.Table, found: pa.Table) -> pa.Table:
+        # the table side is built even without rows: its keys are
+        # checked for a shared hash, as on the broadcast path
+        found = side([tag_table(found)])
+        return _append(rows, _probe(found, *key_hash(rows, on)))
 
-    def per_bucket(g: pa.Table) -> pa.Table:
-        # g holds whole buckets: two keys sharing a hash share a bucket.
-        # Each side's rows are the ones whose own hash column is set;
-        # a block may lack one side's columns altogether (Ray skips the
-        # column-less empty result in every later map, sort and union)
-        # built first: buckets without rows still check their table
-        # keys for a shared hash, as the broadcast path does
-        found = side([g.filter(pc.is_valid(g["__rh"]))]
-                     if "__rh" in g.column_names else [])
-        if "__lh" not in g.column_names:
-            return pa.table({})
-        rows = g.filter(pc.is_valid(g["__lh"]))
-        _, null, keys = key_hash(rows, on)
-        got = _probe(found, rows["__lh"].to_numpy(), null, keys)
-        drop = {"__lh", "__rh", "__pb", *tmp, *tkey}
-        return _append(rows.drop_columns(
-            [c for c in rows.column_names if c in drop]), got)
-
-    tagged = ds.map_batches(tag_rows, batch_format="pyarrow").union(
-        table.map_batches(tag_table, batch_format="pyarrow"))
-    return _fold_partitions(tagged, per_bucket, n_buckets)
+    return cogroup(ds, table.select_columns(on + values), on, on,
+                   per_frame, n_buckets=n_buckets)

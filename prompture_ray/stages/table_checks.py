@@ -12,7 +12,7 @@ projected columns so the exchange moves keys, not pages (SURVEY §7.3).
     * broadcast: right side small → ``ray.put`` a sorted key-hash array
       once; each batch does a vectorized ``searchsorted`` membership test —
       no shuffle of the rows.
-    * partitioned: both sides large → both meet in ``partition_ids``
+    * partitioned: both sides large → both meet in ``shuffle.cogroup``
       buckets, where left keys are compared with the right keys by value.
       One narrow shuffle of the two key columns.
   Both paths hash keys under ``shuffle``'s key rule (5.0 meets 5), keep
@@ -30,7 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from prompture_ray.stages.shuffle import aggregate, key_hash, partition_ids
+from prompture_ray.stages.shuffle import aggregate, cogroup, key_hash
 
 BROADCAST_THRESHOLD = 5_000_000  # keys; ~40MB of hashes — fine to broadcast
 
@@ -107,10 +107,11 @@ def referential_missing(left_ds, right_ds, key: str, right_key: str | None = Non
     exactness is preserved; the win is shuffle volume when the right side
     dwarfs the overlap)."""
     right_key = right_key or key
+    # counted before the projection: a projected read's count() reads
+    # the data, a plain read's comes from the file metadata
+    n_right = right_ds.count()
     left = left_ds.select_columns([key])
     right = right_ds.select_columns([right_key])
-
-    n_right = right.count()
     if n_right <= broadcast_threshold:
         # hash the right keys once on the driver side (streamed), broadcast
         hashes = [_hashes(b, right_key) for b in right.iter_batches(
@@ -121,7 +122,7 @@ def referential_missing(left_ds, right_ds, key: str, right_key: str | None = Non
                                    batch_format="pyarrow")
         return aggregate(missing, [key], n=("count", None))
 
-    # partitioned path: both sides meet in partition_ids buckets
+    # partitioned path: both sides meet in cogroup buckets
     if bloom_prefilter:
         bloom_ref = ray.put(build_bloom(left, key))
 
@@ -131,35 +132,17 @@ def referential_missing(left_ds, right_ds, key: str, right_key: str | None = Non
 
         right = right.map_batches(right_filter, batch_format="pyarrow")
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        return t.append_column("__pb", partition_ids(t, [key], n_buckets))
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        # a null right key matches nothing, so its row is dropped; every
-        # right row thus has a non-null __rk and every left row a null one
-        pid = partition_ids(t, [right_key], n_buckets)
-        return pa.table({"__rk": t[right_key], "__pb": pid}) \
-            .filter(pc.less(pid, n_buckets))
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        # a block may lack one side's columns altogether (Ray skips the
-        # column-less empty result in every later map, sort and union)
-        if key not in g.column_names:
-            return pa.table({})
-        right = pa.table({"__rk": pa.array([], pa.int64())})
-        if "__rk" in g.column_names:
-            right = g.filter(pc.is_valid(g["__rk"]))
-            g = g.filter(pc.is_null(g["__rk"]))
-        # compared by value under the key rule; a null left key is missing
-        _, miss, (lv,) = key_hash(g, [key])
-        _, _, (rv,) = key_hash(right, ["__rk"])
-        lv = lv[~miss]
+    def anti(l: pa.Table, r: pa.Table) -> pa.Table:
+        # compared by value under the key rule; a null left key is
+        # missing and a null right key matches nothing
+        _, miss, (lv,) = key_hash(l, [key])
+        _, rnull, (rv,) = key_hash(r, [right_key])
+        lv, rv = lv[~miss], rv[~rnull]
         if lv.dtype != rv.dtype:
             lv, rv = lv.astype(object), rv.astype(object)
         miss[~miss] = ~np.isin(lv, rv)
-        return pa.table({key: g[key]}).filter(pa.array(miss))
+        return l.filter(pa.array(miss))
 
-    missing = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")) \
-        .groupby("__pb").map_groups(per_bucket, batch_format="pyarrow")
+    missing = cogroup(left, right, [key], [right_key], anti,
+                      n_buckets=n_buckets)
     return aggregate(missing, [key], n=("count", None))

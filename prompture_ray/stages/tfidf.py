@@ -137,7 +137,7 @@ def tfidf_topk_terms(ds, text_col: str = "text", id_col: str = "doc_id",
     # hash-bucketed equi-join, then the same vectorized per-doc top-k
     # inside bounded hash(id) partitions (each doc's candidate rows
     # land wholly in one partition).
-    from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import join
 
     def posting_rows(t: pa.Table) -> pa.Table:
         ids, rows, terms, tf = _postings(t, text_col, id_col)
@@ -150,8 +150,7 @@ def tfidf_topk_terms(ds, text_col: str = "text", id_col: str = "doc_id",
             "tf": pa.array(tf, type=pa.int64())})
 
     posts = ds.map_batches(posting_rows, batch_format="pyarrow")
-    joined = bucketed_equi_join(posts, lexicon, key="gram",
-                                n_buckets=n_buckets)
+    joined = join(posts, lexicon, "gram", n_buckets=n_buckets)
 
     def part_topk(g: pd.DataFrame) -> pd.DataFrame:
         ids_u, rows = np.unique(
@@ -259,7 +258,7 @@ def vocab_coverage(ds, text_col: str = "text", id_col: str = "doc_id",
     # one grouped Sum/Count per doc id (rows are Heaps-compressed
     # (doc, term) postings, never raw tokens)
     import pandas as pd
-    from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import join
 
     def posting_rows(t: pa.Table) -> pa.Table:
         ids, rows, terms, tf = _postings(t, text_col, id_col)
@@ -271,8 +270,7 @@ def vocab_coverage(ds, text_col: str = "text", id_col: str = "doc_id",
             "tf": pa.array(tf, type=pa.int64())})
 
     posts = ds.map_batches(posting_rows, batch_format="pyarrow")
-    joined = bucketed_equi_join(posts, lexicon, key="gram",
-                                n_buckets=n_buckets)
+    joined = join(posts, lexicon, "gram", n_buckets=n_buckets)
 
     def partials(b: pd.DataFrame) -> pd.DataFrame:
         tf = b["tf"].to_numpy().astype(np.int64)

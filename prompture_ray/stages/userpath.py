@@ -37,6 +37,10 @@ def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
     Only rows whose type is in ``steps`` ever shuffle (filtered and
     projected to (user, ts_us, step_idx) map-side); timestamps travel
     as int64 micros so every comparison is exact.
+    Without ``n_parts``, ``auto_n_parts(ds)`` sizes the shuffle by
+    counting ``ds``: cheap for a plain parquet read (what the registry
+    query passes), a full run of a mapped or projected input, so pass
+    ``n_parts`` for those.
     """
     from ray.data.aggregate import Sum
 
@@ -102,6 +106,10 @@ def retention_cohorts(ds, user_col: str, ts_col: str,
     partition) and computes offsets with one vectorized ``transform
     ('min')``; the final fold sums bounded partial counts. Pure int64
     arithmetic end to end — the oracle can mirror it exactly.
+    Without ``n_parts``, ``auto_n_parts(ds)`` sizes the shuffle by
+    counting ``ds``: cheap for a plain parquet read (what the registry
+    query passes), a full run of a mapped or projected input, so pass
+    ``n_parts`` for those.
     """
     from ray.data.aggregate import Sum
 

@@ -395,6 +395,118 @@ def test_group_prior_null_key_raises_on_both_paths(ray_session, bmax):
 
 
 # ---------------------------------------------------------------------------
+# join
+# ---------------------------------------------------------------------------
+def _join_sides(shift: int) -> tuple:
+    """Left and right tables keyed on ``k`` (keys offset by ``shift``),
+    each with a null key, a key the other side lacks and a key repeated
+    on both sides; int64 payloads above 2^61."""
+    lk = [5, 7, 7, 11, None, 13, 5, 17]
+    rk = [7, 5, 7, None, 19, 11, 7]
+    off = lambda ks: pa.array([None if k is None else k + shift
+                               for k in ks], pa.int64())
+    left = pa.table({"k": off(lk), "row": pa.array(range(len(lk))),
+                     "lp": pa.array([BIG + i for i in range(len(lk))])})
+    right = pa.table({"rk": off(rk),
+                      "rp": pa.array([BIG + 10 + i for i in range(len(rk))]),
+                      "rs": pa.array(list("abcdefg"))})
+    return left, right
+
+
+def _split(t: pa.Table, n_blocks: int) -> list:
+    step = -(-t.num_rows // n_blocks)
+    return [t.slice(i, step) for i in range(0, t.num_rows, step)]
+
+
+def _join_result(left: list, right: list, how: str, n_buckets: int = 4):
+    """Rows (sorted) and Arrow schema of ``shuffle.join`` over the given
+    blocks; the blocks must concatenate without a type change."""
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import join
+    out = _arrow(join(rd.from_arrow(left), rd.from_arrow(right), "k",
+                      "rk", how=how, n_buckets=n_buckets))
+    return sorted(out.to_pylist(), key=repr), out.schema
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+@pytest.mark.parametrize("shift", [0, 2**61])
+def test_join_is_layout_independent_and_exact(ray_session, how, shift):
+    """1 block against several on either side, with keys and payloads
+    beyond 2^53: the rows equal DuckDB's join and every layout gives the
+    one-block result's rows and column types."""
+    import duckdb
+    lt, rt = _join_sides(shift)
+    small = _join_result([lt], [rt], how)
+    want = duckdb.sql(f"SELECT lt.*, rt.* FROM lt {how.upper()} JOIN rt "
+                      f"ON lt.k = rt.rk").arrow()
+    assert small[0] == sorted(want.to_pylist(), key=repr)
+    assert small[1] == pa.schema([("k", pa.int64()), ("row", pa.int64()),
+                                  ("lp", pa.int64()), ("rk", pa.int64()),
+                                  ("rp", pa.int64()), ("rs", pa.string())])
+    for nl, nr, nb in ((3, 1, 4), (1, 3, 4), (4, 3, 2), (2, 2, 32)):
+        assert _join_result(_split(lt, nl), _split(rt, nr), how, nb) == small
+
+
+def test_join_empty_side(ray_session):
+    """An empty side: inner joins give no rows, a left join against an
+    empty right side keeps every left row with typed null payloads."""
+    lt, rt = _join_sides(2**61)
+    assert _join_result([lt.slice(0, 0)], [rt], "inner")[0] == []
+    assert _join_result([lt.slice(0, 0)], [rt], "left")[0] == []
+    assert _join_result([lt], [rt.slice(0, 0)], "inner")[0] == []
+    rows, schema = _join_result(_split(lt, 3), [rt.slice(0, 0)], "left")
+    assert rows == sorted(({**r, "rk": None, "rp": None, "rs": None}
+                           for r in lt.to_pylist()), key=repr)
+    assert schema.field("rp").type == pa.int64()
+
+
+def test_left_join_keeps_int64_payloads_beyond_2_53(ray_session):
+    """Right int64 payloads above 2^53 come back int64 and exact next to
+    the misses' nulls (a pandas merge turned them into rounded floats)."""
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import join
+    left = rd.from_arrow(pa.table({"k": pa.array([1, 2, 3, 4], pa.int64())}))
+    right = rd.from_arrow(pa.table({
+        "k": pa.array([2, 4], pa.int64()),
+        "v": pa.array([2**61 + 1, 2**61 + 3], pa.int64())}))
+    out = _arrow(join(left, right, "k", how="left", n_buckets=2))
+    assert out.schema.field("v").type == pa.int64()
+    assert dict(zip(out["k"].to_pylist(), out["v"].to_pylist())) == {
+        1: None, 2: 2**61 + 1, 3: None, 4: 2**61 + 3}
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_join_keeps_a_list_payload(ray_session, how):
+    """A list column rides the join (Arrow's hash join rejects list
+    non-key fields, so only keys and row indices enter it)."""
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import join
+    left = rd.from_arrow(pa.table({
+        "id": pa.array([1, 2, 3], pa.int64()),
+        "sig": pa.array([[1, 2], [3], []], pa.list_(pa.int64()))}))
+    right = rd.from_arrow(pa.table({
+        "id": pa.array([1, 3, 3], pa.int64()),
+        "tags": pa.array([["x"], ["y", "z"], None],
+                         pa.list_(pa.string()))}))
+    out = _arrow(join(left, right, "id", how=how, n_buckets=2))
+    assert out.schema.field("sig").type == pa.list_(pa.int64())
+    assert out.schema.field("tags").type == pa.list_(pa.string())
+    want = [(1, [1, 2], ["x"]), (3, [], ["y", "z"]), (3, [], None)]
+    if how == "left":
+        want.append((2, [3], None))
+    assert sorted(zip(*(out[c].to_pylist() for c in ("id", "sig", "tags"))),
+                  key=repr) == sorted(want, key=repr)
+
+
+def test_join_rejects_a_column_on_both_sides(ray_session):
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import join
+    t = rd.from_arrow(pa.table({"k": [1], "v": [2]}))
+    with pytest.raises(Exception, match=r"columns \['v'\] are on both"):
+        join(t, t, "k").materialize()
+
+
+# ---------------------------------------------------------------------------
 # layout independence of every per-key fold and map-back
 # ---------------------------------------------------------------------------
 HOUR = 3_600_000_000
@@ -448,7 +560,7 @@ def _ops():
     from prompture_ray.stages import (analytic as an, groupstats as gs,
                                       intervals as iv, userpath as up,
                                       windows as wn)
-    from prompture_ray.stages.shuffle import aggregate
+    from prompture_ray.stages.shuffle import aggregate, join
     return {
         "forward_fill": lambda ds: an.forward_fill(
             ds, "k", "t", "tie", ["w"]),
@@ -512,7 +624,21 @@ def _ops():
         "aggregate": lambda ds: aggregate(
             ds, ["k"], n=("count", None), v_sum=("sum", "v"),
             w_sum=("sum", "w"), ts_min=("min", "ts"), typ_max=("max", "typ")),
+        "join_inner": lambda ds: join(ds, _join_right(), "k", n_buckets=4),
+        "join_left": lambda ds: join(ds, _join_right(), "k", how="left",
+                                     n_buckets=4),
     }
+
+
+def _join_right():
+    """Three blocks keyed on ``k``: two rows for key 5, one each for 7
+    and 11, one for the absent key 23 and one null key."""
+    import ray.data as rd
+    k = [5, 5, 7, 11, 23, None]
+    t = pa.table({"k": pa.array(k, pa.int64()),
+                  "rp": pa.array(range(100, 106), pa.int64()),
+                  "rs": pa.array(["a", "b", None, "d", "e", "f"])})
+    return rd.from_arrow([t.slice(0, 2), t.slice(2, 3), t.slice(5)])
 
 
 def _norm(x):

@@ -282,10 +282,9 @@ def test_broadcast_interval_join(ray_session):
         (1, 10), (1, 20), (2, 20), (4, 30)]
 
 
-def test_bucketed_equi_join(ray_session):
-    import pandas as pd
+def test_shuffle_join(ray_session):
     import ray.data as rd
-    from prompture_ray.stages.joins import bucketed_equi_join
+    from prompture_ray.stages.shuffle import join
     left = rd.from_arrow(pa.table({
         "k": pa.array([1, 2, 2, 3, 9], type=pa.int64()),
         "lv": pa.array(["a", "b", "c", "d", "e"]),
@@ -294,8 +293,7 @@ def test_bucketed_equi_join(ray_session):
         "rk": pa.array([2, 2, 3, 4], type=pa.int64()),
         "rv": pa.array(["X", "Y", "Z", "W"]),
     }))
-    out = bucketed_equi_join(left, right, key="k", right_key="rk",
-                             n_buckets=4).to_pandas() \
+    out = join(left, right, "k", "rk", n_buckets=4).to_pandas() \
         .sort_values(["k", "lv", "rv"], ignore_index=True)
     # 1:N x M:N expansion: k=2 gives 2x2=4 rows, k=3 gives 1, others none
     assert list(zip(out["k"], out["lv"], out["rv"])) == [
@@ -399,11 +397,12 @@ def test_hopping_window_null_ts_rows_dropped(ray_session):
     assert out["sum_value"].sum() == (1.0 + 3.0) * 2
 
 
-def test_bucketed_equi_join_mixed_key_dtypes(ray_session):
+def test_shuffle_join_mixed_key_dtypes(ray_session):
     """A side whose int key materializes as float (nullable path) must
     still bucket identically to the int side (ADVICE r3 joins.py:254)."""
     import pandas as pd
     import ray.data as rd
+    from prompture_ray.stages.shuffle import join
     left = rd.from_arrow(pa.table({
         "k": pa.array([1, 2, 3], type=pa.int64()),
         "lv": pa.array(["a", "b", "c"]),
@@ -412,18 +411,31 @@ def test_bucketed_equi_join_mixed_key_dtypes(ray_session):
         "rk": np.array([2.0, 3.0, 4.0]),  # float64 ints
         "rv": ["X", "Y", "Z"],
     }))
-    out = j.bucketed_equi_join(left, right, key="k", right_key="rk",
-                               n_buckets=8).to_pandas() \
+    out = join(left, right, "k", "rk", n_buckets=8).to_pandas() \
         .sort_values("k", ignore_index=True)
     assert sorted(out["rv"].tolist()) == ["X", "Y"]
 
 
-def test_bucketed_equi_join_rejects_null_keys(ray_session):
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_shuffle_join_null_keys_match_sql(ray_session, how):
+    """A null key never matches, not even another null: the inner join
+    drops those rows, the left join keeps them with null right columns
+    (DuckDB's answer on the same tables)."""
+    import duckdb
     import ray.data as rd
-    left = rd.from_arrow(pa.table({"k": pa.array([1, None], pa.int64())}))
-    right = rd.from_arrow(pa.table({"k": pa.array([1], pa.int64())}))
-    with pytest.raises(Exception, match="null join keys are not supported"):
-        j.bucketed_equi_join(left, right, key="k", n_buckets=4).to_pandas()
+    from prompture_ray.stages.shuffle import join
+    lt = pa.table({"k": pa.array([1, None, 2, None], pa.int64()),
+                   "lv": pa.array([10, 11, 12, 13], pa.int64())})
+    rt = pa.table({"rk": pa.array([1, None, 2, 2], pa.int64()),
+                   "rv": pa.array(["a", "n", "b", "c"])})
+    got = join(rd.from_arrow([lt.slice(0, 2), lt.slice(2)]),
+               rd.from_arrow(rt), "k", "rk", how=how, n_buckets=4)
+    sql = (f"SELECT k, lv, rk, rv FROM lt {how.upper()} JOIN rt "
+           f"ON lt.k = rt.rk")
+    want = duckdb.sql(sql).arrow()
+    assert sorted(got.take_all(), key=repr) == \
+        sorted(want.to_pylist(), key=repr)
+    assert len(want) == (3 if how == "inner" else 5)
 
 
 def test_running_aggregate_bucketed_equals_plain(ray_session):
