@@ -26,8 +26,8 @@ back onto the line rows with ``shuffle.lookup`` (broadcast under
 ``broadcast_max`` hosts, hash buckets beyond); a boilerplate-line table
 under ``broadcast_max`` rows is broadcast once via ``ray.put`` as a
 sorted array (searchsorted membership, no further shuffle), beyond
-that it goes through the hash-bucketed join and docs are rebuilt
-inside bounded ``hash(id) % cells`` group frames. Line
+that it goes through the hash-bucketed join and docs are rebuilt in
+one ``partition_fold`` on the doc id (``dedup._rebuild_cell``). Line
 identity is hash-only (64-bit mixed host×line; ~n²/2^64 collision odds
 per corpus).
 """
@@ -35,7 +35,6 @@ per corpus).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -71,7 +70,8 @@ def boilerplate_lines(ds, text_col: str = "text", id_col: str = "doc_id",
     rejoined by ``sep`` in original order."""
     import ray
     from ray.data.aggregate import Sum
-    from prompture_ray.stages.shuffle import join, lookup
+    from prompture_ray.stages.dedup import _rebuild_cell
+    from prompture_ray.stages.shuffle import join, lookup, partition_fold
 
     # -- pass 1a: per-host distinct-doc frequency of every line --------
     def df_partials(t: pa.Table) -> pa.Table:
@@ -156,9 +156,8 @@ def boilerplate_lines(ds, text_col: str = "text", id_col: str = "doc_id",
         return ds.map_batches(rebuild, batch_format="pyarrow")
 
     # 100-TB fallback: line rows × boilerplate hashes through the
-    # bucketed left join, per-doc rebuild inside bounded hash(id)%cells
-    # group frames (one vectorized pandas pass per cell — never a frame
-    # per doc).
+    # bucketed left join, per-doc rebuild in a doc-id fold (one
+    # vectorized pandas pass per fold frame — never a frame per doc).
     def line_rows(t: pa.Table) -> pa.Table:
         flat, lens, doc_idx, _, comb, _ = _host_line_hashes(
             t, text_col, host_col, sep)
@@ -177,27 +176,7 @@ def boilerplate_lines(ds, text_col: str = "text", id_col: str = "doc_id",
             np.ones(t.num_rows, dtype=np.int64), type=pa.int64())),
         batch_format="pyarrow").materialize()
     flagged = join(rows, marked, "comb", how="left", n_buckets=n_buckets)
-    n_cells = n_buckets * 2
-
-    def add_cell(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__cell"] = ((b["id"].to_numpy().astype(np.uint64)
-                        * _GOLD) % np.uint64(n_cells)).astype(np.int64)
-        return b
-
-    def rebuild_cell(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["id", "pos"], kind="mergesort")
-        kept = g[g["__dup"].isna()]
-        agg = kept.groupby("id", sort=True)["line"].agg(sep.join)
-        n_kept = kept.groupby("id", sort=True).size()
-        tot = g.groupby("id", sort=True).size()
-        out = pd.DataFrame({"id": tot.index.to_numpy()})
-        out[text_col] = agg.reindex(tot.index).fillna("").to_numpy()
-        out["n_kept"] = n_kept.reindex(tot.index).fillna(0) \
-            .to_numpy().astype(np.int64)
-        out["n_removed"] = (tot - n_kept.reindex(tot.index).fillna(0)) \
-            .to_numpy().astype(np.int64)
-        return out.rename(columns={"id": id_col})
-
-    return flagged.map_batches(add_cell, batch_format="pandas") \
-        .groupby("__cell").map_groups(rebuild_cell, batch_format="pandas")
+    return partition_fold(
+        flagged, ["id"],
+        lambda g: _rebuild_cell(g, sep, text_col, id_col),
+        n_parts=n_buckets * 2)

@@ -44,11 +44,12 @@ Scale shape: the chunking + hashing stage is ONE vectorized pass over
 each batch's concatenated utf-8/binary buffer (w shifted adds for the
 boundary hash, one cumprod/cumsum pair for chunk hashes — never a
 Python loop over bytes or rows); only narrow (hash, doc_id, idx, len)
-chunk rows shuffle, partitioned by hash so duplicate detection is a
-run-boundary scan per partition (the _bucketed_group_pairs discipline,
-one vectorized lexsort pass — never a frame per chunk); per-doc partials
-fold through one final narrow grouped Sum. ``shuffle_blocks`` bounds
-groupby input blocks (round-5 pathology).
+chunk rows shuffle in one ``shuffle.partition_fold`` on the chunk hash,
+so duplicate detection is a run-boundary scan per fold frame (the
+_bucketed_group_pairs discipline, one vectorized lexsort pass — never a
+frame per chunk); per-doc partials fold through one final narrow
+grouped Sum. ``shuffle_blocks`` bounds the fold's input blocks (round-5
+pathology).
 """
 from __future__ import annotations
 
@@ -180,11 +181,11 @@ def cdc_chunk_stats(ds, text_col: str, id_col: str, *,
     See module docstring for the boundary/hash/ordering contract and
     the scale shape."""
     from ray.data.aggregate import Sum
-    from prompture_ray.functions.sketches import hash64
+    from prompture_ray.stages.shuffle import partition_fold
 
     # Per-doc (n_chunks, n_bytes) totals are known at CHUNKING time
     # (each doc is whole within its batch) and ride as ONE sentinel row
-    # per doc (idx = -1, partitioned by hash64(doc_id)); the hash
+    # per doc (idx = -1, its fold key h holding the doc_id); the hash
     # partitions then emit ONLY sparse dup partials — without this the
     # final groupby would fold n_parts x n_docs dense partial rows
     # (chunk hashes are uniform, so every partition saw almost every
@@ -196,9 +197,7 @@ def cdc_chunk_stats(ds, text_col: str, id_col: str, *,
         if rows.num_rows == 0:
             z = pa.array([], type=pa.int64())
             return pa.table({"h": z, "doc_id": z, "idx": z, "len": z,
-                             "n_chunks": z, "__pb": z})
-        pb = (rows["h"].to_numpy(zero_copy_only=False).view(np.uint64)
-              % np.uint64(n_parts)).astype(np.int64)
+                             "n_chunks": z})
         d = rows["doc_id"].to_numpy(zero_copy_only=False)
         ln = rows["len"].to_numpy(zero_copy_only=False)
         starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
@@ -206,11 +205,9 @@ def cdc_chunk_stats(ds, text_col: str, id_col: str, *,
         stat_doc = d[starts]
         stat_bytes = np.add.reduceat(ln, starts) if len(ln) \
             else np.empty(0, dtype=np.int64)
-        stat_pb = (hash64(stat_doc) % np.uint64(n_parts)).astype(np.int64)
         return pa.table({
             "h": pa.concat_arrays([rows["h"].combine_chunks(),
-                                   pa.array(np.zeros(len(starts),
-                                            dtype=np.int64))]),
+                                   pa.array(stat_doc, type=pa.int64())]),
             "doc_id": pa.array(np.concatenate([d, stat_doc]),
                                type=pa.int64()),
             "idx": pa.concat_arrays([rows["idx"].combine_chunks(),
@@ -220,9 +217,7 @@ def cdc_chunk_stats(ds, text_col: str, id_col: str, *,
                             type=pa.int64()),
             "n_chunks": pa.array(np.concatenate(
                 [np.zeros(len(d), dtype=np.int64), sizes]),
-                type=pa.int64()),
-            "__pb": pa.array(np.concatenate([pb, stat_pb]),
-                             type=pa.int64())})
+                type=pa.int64())})
 
     def dedup_part(g: pa.Table) -> pa.Table:
         ix = g["idx"].to_numpy(zero_copy_only=False)
@@ -265,9 +260,10 @@ def cdc_chunk_stats(ds, text_col: str, id_col: str, *,
             "dup_bytes": pa.array(np.concatenate(out_dup)
                                   .astype(np.int64))})
 
-    partials = ds.map_batches(make_chunks, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
-        .groupby("__pb").map_groups(dedup_part, batch_format="pyarrow")
+    partials = partition_fold(
+        ds.map_batches(make_chunks, batch_format="pyarrow"), ["h"],
+        dedup_part, n_parts=n_parts, shuffle_blocks=shuffle_blocks,
+        batch_format="pyarrow")
     return partials.groupby("doc_id").aggregate(
         Sum("n_chunks", alias_name="n_chunks"),
         Sum("n_bytes", alias_name="n_bytes"),

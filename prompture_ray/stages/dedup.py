@@ -10,13 +10,15 @@ Reference semantics (prompture/dataset/dedup.py):
 
 Distributed rewrite (the greedy "vs any prior kept" is inherently
 sequential; SURVEY §7.4 documents the deviation):
-- exact: content-hash → ``groupby(hash).map_groups(min by canonical
-  order)`` — first-wins under a DEFINED canonical order, deterministic
-  under any partitioning.
+- exact: one sort on the normalized key + a shift-compare per block
+  (``dedup_exact``) — first-wins under a DEFINED canonical order,
+  deterministic under any partitioning.
 - near-dup (minhash/simhash/embedding): signature per doc in a vectorized
-  ``map_batches`` → explode to (band_key, doc) rows → ``groupby(band_key)``
-  buckets → candidate pairs → verify (Jaccard estimate / hamming / cosine)
-  → connected components → keep the canonical min of each component.
+  ``map_batches`` → explode to (band_key, doc) rows → one
+  ``shuffle.partition_fold`` on the band key (every bucket lands whole
+  in a fold frame) → candidate pairs → verify (Jaccard estimate /
+  hamming / cosine) → connected components → keep the canonical min of
+  each component.
   Components are solved with driver union-find over the (small) verified
   pair set; at larger scale swap in the iterative min-label-propagation
   noted in ray_guide (the pair set, not the corpus, bounds driver memory —
@@ -359,38 +361,28 @@ def _id_filter_fn(arr: pa.Array, need_ref):
 
 def _bucketed_group_pairs(sigs, key_cols, group_fn, empty: pd.DataFrame,
                           rows_per_part: int = 500_000):
-    """ONE hash-partition shuffle for the bucket→pairs step, replacing
-    the old three-pass shape (count aggregate over every band row +
-    driver ray.put of the multi-bucket key array + a pruned second
-    sort) AND the frame-per-bucket map_groups (the round-4 tiny-cells
-    anti-pattern — a pandas frame per LSH bucket, including millions of
-    singletons on the embedding path).
+    """ONE ``shuffle.partition_fold`` on the bucket key for the
+    bucket→pairs step, replacing the old three-pass shape (count
+    aggregate over every band row + driver ray.put of the multi-bucket
+    key array + a pruned second sort) AND the frame-per-bucket
+    map_groups (the round-4 tiny-cells anti-pattern — a pandas frame per
+    LSH bucket, including millions of singletons on the embedding path).
 
-    Rows are partitioned by hash(bucket key) % P (P sized to
-    ~``rows_per_part`` rows per partition, floor 64 — every bucket lands
-    wholly in one partition); each partition then runs a single
-    vectorized pass: one lexsort, run-boundary detection on the TRUE key
-    columns (the combined int64 is only the partition hash, so key
-    collisions cannot merge buckets), and ``group_fn`` — unchanged from
-    the per-bucket form, so per-group semantics (member id-sort,
-    max_bucket cap, counter rows) are preserved by construction — called
-    only for runs of size ≥ 2.
+    The fold has ~``rows_per_part`` rows per partition (floor 64), and
+    every bucket lands wholly in one fold frame; each frame then runs a
+    single vectorized pass: one lexsort, run-boundary detection on the
+    key columns, and ``group_fn`` — unchanged from the per-bucket form,
+    so per-group semantics (member id-sort, max_bucket cap, counter
+    rows) are preserved by construction — called only for runs of
+    size ≥ 2.
 
     Removes the O(multi-buckets) driver broadcast entirely: nothing
     about the corpus's bucket structure ever lands on the driver."""
-    from prompture_ray.functions.sketches import hash64
+    from prompture_ray.stages.shuffle import partition_fold
 
     sigs = sigs.materialize()
     n_rows = sigs.count()
     n_parts = int(max(64, np.ceil(n_rows / rows_per_part)))
-
-    def tag(t: pa.Table) -> pa.Table:
-        cols = [t[c].to_numpy(zero_copy_only=False).astype(np.int64)
-                for c in key_cols]
-        keys = cols[0] if len(cols) == 1 else \
-            _combine_bucket_keys(cols[0], cols[1])
-        pb = (hash64(keys) % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb))
 
     def part(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) < 2:
@@ -409,37 +401,26 @@ def _bucketed_group_pairs(sigs, key_cols, group_fn, empty: pd.DataFrame,
             return empty
         return pd.concat(outs, ignore_index=True)
 
-    return sigs.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(part, batch_format="pandas")
+    return partition_fold(sigs, key_cols, part, n_parts=n_parts)
 
 
 def _distinct_pairs(pairs_ds, min_col: str | None = None):
     """Dedupe (id_a, id_b) pairs found in multiple buckets: ONE
-    hash(id_a, id_b) partition shuffle + one vectorized pandas pass per
-    partition (drop_duplicates, or a grouped min over ``min_col`` for
-    a payload like hamming — a function of the pair, so min == any
-    occurrence). A Ray grouped aggregate over the |pairs| DISTINCT
-    two-column groups measured ~100× slower at ~1M pairs (60.5 vs
-    0.6 s — the round-5 seventh-session finding); every pair lands
-    wholly in one partition so per-pair semantics are unchanged."""
-    from prompture_ray.functions.sketches import hash64
+    ``shuffle.partition_fold`` on (id_a, id_b) with one vectorized
+    pandas pass per fold frame (drop_duplicates, or a grouped min over
+    ``min_col`` for a payload like hamming — a function of the pair, so
+    min == any occurrence). A Ray grouped aggregate over the |pairs|
+    DISTINCT two-column groups measured ~100× slower at ~1M pairs (60.5
+    vs 0.6 s — the round-5 seventh-session finding); every pair lands
+    wholly in one frame so per-pair semantics are unchanged."""
+    from prompture_ray.stages.shuffle import partition_fold
 
     alias = min_col
     pairs_ds = pairs_ds.materialize()
     n_rows = pairs_ds.count()
     n_parts = int(max(64, np.ceil(n_rows / 500_000)))
-    _GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-    def tag(t: pa.Table) -> pa.Table:
-        a = t["id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t["id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        h = (hash64(a).astype(np.uint64) * _GOLD) \
-            ^ hash64(b).astype(np.uint64)
-        pb = (h % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__pb")
         if alias is None:
             return g.drop_duplicates(["id_a", "id_b"])
         out = g.groupby(["id_a", "id_b"], sort=False)[alias].min() \
@@ -447,8 +428,8 @@ def _distinct_pairs(pairs_ds, min_col: str | None = None):
         out[alias] = out[alias].astype(g[alias].dtype)
         return out
 
-    return pairs_ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(fold, batch_format="pandas")
+    return partition_fold(pairs_ds, ["id_a", "id_b"], fold,
+                          n_parts=n_parts)
 
 
 def _bucket_counter_row(df: pd.DataFrame, dropped: int) -> pd.DataFrame:
@@ -464,11 +445,12 @@ def _split_pairs_and_stats(raw_ds):
     ``raw_ds`` is materialized (candidate pairs are small relative to the
     corpus); counter rows have null id_a.
 
-    The per-bucket map_groups upstream emits THOUSANDS of tiny blocks on
-    template-heavy corpora, and the distinct-pairs sort downstream pays
-    per-block task overhead superlinearly (the components-round lesson,
-    same fix): consolidate to ~500k rows/block here, once, so every
-    consumer of the pair multiset sorts over a bounded block count."""
+    The bucket fold upstream emits one block per fold frame — about as
+    many as its input has blocks, whatever the pair count — and the
+    distinct-pairs sort downstream pays per-block task overhead
+    superlinearly (the components-round lesson, same fix): consolidate
+    to ~500k rows/block here, once, so every consumer of the pair
+    multiset sorts over a bounded block count."""
     raw = raw_ds.materialize()
     n_raw = raw.count()
     tgt = int(max(64, np.ceil(n_raw / 500_000)))
@@ -1316,6 +1298,8 @@ def components_label_propagation(pairs_ds, max_rounds: int = 10,
     for rnd in range(max_rounds):
         tagged_labels = labels.map_batches(pb_tagged("label"),
                                            batch_format="pyarrow")
+        # stays a map_groups on its own tag: the edges are tagged once,
+        # materialized and reused every round (ROADMAP D reworks this)
         msgs = tagged_labels.union(tagged_edges).groupby("__pb") \
             .map_groups(send_part, batch_format="pyarrow")
         labels = bound_blocks(msgs.groupby("id").aggregate(
@@ -1643,6 +1627,25 @@ def _split_lines(t: pa.Table, text_col: str, sep: str):
     return flat, lens, doc_idx, h
 
 
+def _rebuild_cell(g: pd.DataFrame, sep: str, text_col: str,
+                  id_col: str) -> pd.DataFrame:
+    """Docs rebuilt from their line rows ``(id, pos, line, __dup)``, any
+    number of docs per frame: the lines without ``__dup`` joined with
+    ``sep`` in ``pos`` order, with kept and removed line counts."""
+    g = g.sort_values(["id", "pos"], kind="mergesort")
+    kept = g[g["__dup"].isna()]
+    agg = kept.groupby("id", sort=True)["line"].agg(sep.join)
+    n_kept = kept.groupby("id", sort=True).size()
+    tot = g.groupby("id", sort=True).size()
+    out = pd.DataFrame({"id": tot.index.to_numpy()})
+    out[text_col] = agg.reindex(tot.index).fillna("").to_numpy()
+    out["n_kept"] = n_kept.reindex(tot.index).fillna(0) \
+        .to_numpy().astype(np.int64)
+    out["n_removed"] = (tot - n_kept.reindex(tot.index).fillna(0)) \
+        .to_numpy().astype(np.int64)
+    return out.rename(columns={"id": id_col})
+
+
 def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                min_docs: int = 2, sep: str = "\n", n_buckets: int = 32,
                broadcast_max: int = 20_000_000):
@@ -1660,13 +1663,13 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     ``ray.put`` and pass 2 rebuilds texts locally — membership by
     searchsorted, kept lines re-listed by offset arithmetic,
     ``pc.binary_join`` per row, NO second shuffle. Beyond that, line rows
-    go through the hash-bucketed left join and docs are rebuilt inside
-    bounded ``hash(id) % cells`` group frames (the 100-TB path; nothing
+    go through the hash-bucketed left join and docs are rebuilt in one
+    ``partition_fold`` on the doc id (the 100-TB path; nothing
     corpus-sized on the driver either way). Line identity is hash-only
     (64-bit; ~n²/2^64 collision odds corpus-wide)."""
     import ray
     from ray.data.aggregate import Sum
-    from prompture_ray.stages.shuffle import join
+    from prompture_ray.stages.shuffle import join, partition_fold
 
     def df_partials(t: pa.Table) -> pa.Table:
         flat, lens, doc_idx, h = _split_lines(t, text_col, sep)
@@ -1721,9 +1724,9 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         return ds.map_batches(rebuild, batch_format="pyarrow")
 
     # 100-TB fallback: line rows × common hashes through the bucketed
-    # left join, then per-doc text rebuild inside bounded group frames
-    # (one vectorized pandas pass per hash(id)%cells cell, never a frame
-    # per doc — CLAUDE.md round-4 pattern).
+    # left join, then per-doc text rebuild in a doc-id fold (one
+    # vectorized pandas pass per fold frame, never a frame per doc —
+    # CLAUDE.md round-4 pattern).
     def line_rows(t: pa.Table) -> pa.Table:
         flat, lens, doc_idx, h = _split_lines(t, text_col, sep)
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1741,30 +1744,10 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             np.ones(t.num_rows, dtype=np.int64), type=pa.int64())),
         batch_format="pyarrow").materialize()
     flagged = join(rows, marked, "gram", how="left", n_buckets=n_buckets)
-    n_cells = n_buckets * 2
-
-    def add_cell(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__cell"] = ((b["id"].to_numpy().astype(np.uint64)
-                        * _GRAM_P) % np.uint64(n_cells)).astype(np.int64)
-        return b
-
-    def rebuild_cell(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["id", "pos"], kind="mergesort")
-        kept = g[g["__dup"].isna()]
-        agg = kept.groupby("id", sort=True)["line"].agg(sep.join)
-        n_kept = kept.groupby("id", sort=True).size()
-        tot = g.groupby("id", sort=True).size()
-        out = pd.DataFrame({"id": tot.index.to_numpy()})
-        out[text_col] = agg.reindex(tot.index).fillna("").to_numpy()
-        out["n_kept"] = n_kept.reindex(tot.index).fillna(0) \
-            .to_numpy().astype(np.int64)
-        out["n_removed"] = (tot - n_kept.reindex(tot.index).fillna(0)) \
-            .to_numpy().astype(np.int64)
-        return out.rename(columns={"id": id_col})
-
-    return flagged.map_batches(add_cell, batch_format="pandas") \
-        .groupby("__cell").map_groups(rebuild_cell, batch_format="pandas")
+    return partition_fold(
+        flagged, ["id"],
+        lambda g: _rebuild_cell(g, sep, text_col, id_col),
+        n_parts=n_buckets * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1814,10 +1797,10 @@ def duplicate_span_stats(ds, text_col: str = "text",
     docs — each doc is one row, so its windows are complete inside the
     batch and spans merge locally with NO second shuffle. Beyond that,
     position rows × dup grams go through the hash-bucketed join and
-    spans merge inside bounded ``hash(id) % cells`` frames."""
+    spans merge in one ``partition_fold`` on the doc id."""
     import ray
     from ray.data.aggregate import Sum
-    from prompture_ray.stages.shuffle import join
+    from prompture_ray.stages.shuffle import join, partition_fold
 
     grams = _token_ngram_rows(ds, text_col, id_col, n, normalize,
                               with_pos=True)
@@ -1887,7 +1870,7 @@ def duplicate_span_stats(ds, text_col: str = "text",
         return out.map_batches(finish, batch_format="pandas")
 
     # 100-TB fallback: positions × dup grams through the bucketed join,
-    # spans merged inside bounded hash(id)%cells group frames. Totals
+    # spans merged in a doc-id fold. Totals
     # come from the docs dataset (doc-complete batches), not from the
     # re-batched gram rows.
     def doc_totals(t: pa.Table) -> pa.Table:
@@ -1899,13 +1882,6 @@ def duplicate_span_stats(ds, text_col: str = "text",
     totals = ds.map_batches(doc_totals, batch_format="pyarrow")
     grams = grams.materialize()
     hits = join(grams, dup, "gram", n_buckets=n_buckets)
-    n_cells = n_buckets * 2
-
-    def add_cell(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__cell"] = ((b["id"].to_numpy().astype(np.uint64)
-                        * _GRAM_P) % np.uint64(n_cells)).astype(np.int64)
-        return b
 
     def spans_cell(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["id", "pos"], kind="mergesort")
@@ -1916,10 +1892,8 @@ def duplicate_span_stats(ds, text_col: str = "text",
         return pd.DataFrame({"id": d, "dup_windows": dw.astype(np.int64),
                              "n_spans": spans, "covered_tokens": cov})
 
-    stats = hits.map_batches(add_cell, batch_format="pandas") \
-        .groupby("__cell").map_groups(spans_cell,
-                                      batch_format="pandas") \
-        .materialize()
+    stats = partition_fold(hits, ["id"], spans_cell,
+                           n_parts=n_buckets * 2).materialize()
     joined = join(totals, stats, "id", how="left", n_buckets=n_buckets)
     return joined.map_batches(finish, batch_format="pandas")
 
@@ -1969,7 +1943,7 @@ def _cut_spans_by_gramset(ds, grams, dup, text_col, id_col, n,
     (grams from ANOTHER corpus) reuses it verbatim. ``grams`` must be
     the with_pos=True gram rows of ``ds``."""
     import ray
-    from prompture_ray.stages.shuffle import join
+    from prompture_ray.stages.shuffle import join, partition_fold
 
     def out_table(ids, lens, kept, clean) -> pa.Table:
         return pa.table({
@@ -2008,13 +1982,6 @@ def _cut_spans_by_gramset(ds, grams, dup, text_col, id_col, n,
     # through one more bucketed join and a self-contained final map.
     grams = grams.materialize()
     hits = join(grams, dup, "gram", n_buckets=n_buckets)
-    n_cells = n_buckets * 2
-
-    def add_cell(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__cell"] = ((b["id"].to_numpy().astype(np.uint64)
-                        * _GRAM_P) % np.uint64(n_cells)).astype(np.int64)
-        return b
 
     def spans_str_cell(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["id", "pos"], kind="mergesort")
@@ -2024,10 +1991,8 @@ def _cut_spans_by_gramset(ds, grams, dup, text_col, id_col, n,
         return pd.DataFrame({"id": doc, "sp": sp}) \
             .groupby("id", sort=False)["sp"].agg(";".join).reset_index()
 
-    iv = hits.map_batches(add_cell, batch_format="pandas") \
-        .groupby("__cell").map_groups(spans_str_cell,
-                                      batch_format="pandas") \
-        .materialize()
+    iv = partition_fold(hits, ["id"], spans_str_cell,
+                        n_parts=n_buckets * 2).materialize()
 
     def project(t: pa.Table) -> pa.Table:
         return pa.table({"id": t[id_col].combine_chunks().cast(pa.int64()),

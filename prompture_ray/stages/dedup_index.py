@@ -230,6 +230,8 @@ def _dedup_partitioned(ds, index_dir: str, col: str,
             return g.append_column(flag_col, pa.array(~seen))
         return g.filter(pa.array(~seen))
 
+    # stays a Ray map_groups: each call opens the files of the one
+    # on-disk bucket it was called for
     return ds.map_batches(tag, batch_format="pyarrow") \
         .groupby("_b").map_groups(per_bucket, batch_format="pyarrow")
 

@@ -208,23 +208,6 @@ def mentions_of(mentions_ds, entity_ids):
     return mentions_ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _part_of(ids: np.ndarray, n_parts: int) -> np.ndarray:
-    """Deterministic hash partition of an id array (int or string)."""
-    from prompture_ray.functions.sketches import hash64
-    return (hash64(ids) % np.uint64(n_parts)).astype(np.int64)
-
-
-def _ids_of(g, col: str, side: int) -> np.ndarray:
-    """Non-null values of one side's id column in a tagged-union group
-    block; a block can carry ONE side's columns only (its other columns
-    then simply don't exist — not just null-filled), so a missing column
-    means zero rows of that side."""
-    if col not in g.column_names:
-        return np.empty(0, dtype=np.int64)
-    sub = g.filter(pc.equal(g["__side"], side))
-    return sub[col].drop_null().to_numpy(zero_copy_only=False)
-
-
 def _member_mask(vals: np.ndarray, sset: np.ndarray) -> np.ndarray:
     """vals ∈ sset (sset sorted-unique); searchsorted for numerics,
     np.isin for object/string ids."""
@@ -236,76 +219,49 @@ def _member_mask(vals: np.ndarray, sset: np.ndarray) -> np.ndarray:
     return np.isin(vals, sset)
 
 
+def _non_null(t: pa.Table, col: str) -> np.ndarray:
+    return t[col].drop_null().to_numpy(zero_copy_only=False)
+
+
 def _semi_join_dst(relations_ds, frontier_ds, src: str, dst: str,
                    n_parts: int, id_type: pa.DataType):
     """Distinct ``dst`` values of edges whose ``src`` is in the frontier
-    Dataset — one hash shuffle on src, per-partition vectorized
-    membership, per-partition distinct (shrinks the output before the
-    dedup shuffle). Arrow tagged union: the frontier side's missing
-    columns are null-extended KEEPING types (the bucketed-join form)."""
+    Dataset — one ``shuffle.cogroup`` of edges and frontier on the
+    source id, per-frame vectorized membership, per-frame distinct
+    (shrinks the output before the dedup shuffle)."""
+    from prompture_ray.stages.shuffle import cogroup
+    empty = pa.table({"entity_id": pa.array([], type=id_type)})
 
-    def tag_edges(t: pa.Table) -> pa.Table:
-        t = t.select([src, dst])
-        p = _part_of(t[src].to_numpy(zero_copy_only=False), n_parts)
-        t = t.append_column("__part", pa.array(p, type=pa.int64()))
-        return t.append_column("__side", pa.array(
-            np.ones(t.num_rows, dtype=np.int64)))
-
-    def tag_frontier(t: pa.Table) -> pa.Table:
-        t = t.select(["entity_id"]).rename_columns([src])
-        p = _part_of(t[src].to_numpy(zero_copy_only=False), n_parts)
-        t = t.append_column("__part", pa.array(p, type=pa.int64()))
-        return t.append_column("__side", pa.array(
-            np.zeros(t.num_rows, dtype=np.int64)))
-
-    tagged = relations_ds.map_batches(
-        tag_edges, batch_format="pyarrow").union(
-        frontier_ds.map_batches(tag_frontier, batch_format="pyarrow"))
-
-    def per_part(g: pa.Table) -> pa.Table:
-        empty = pa.table({"entity_id": pa.array([], type=id_type)})
-        front = np.unique(_ids_of(g, src, 0))
-        if dst not in g.column_names or len(front) == 0:
-            return empty
-        e = g.filter(pc.equal(g["__side"], 1))
-        if e.num_rows == 0:
+    def per_frame(e: pa.Table, f: pa.Table) -> pa.Table:
+        front = np.unique(_non_null(f, "entity_id"))
+        if len(front) == 0 or e.num_rows == 0:
             return empty
         u = e[src].to_numpy(zero_copy_only=False)
         v = e[dst].to_numpy(zero_copy_only=False)
         return pa.table({"entity_id": pa.array(
             np.unique(v[_member_mask(u, front)]), type=id_type)})
 
-    return tagged.groupby("__part").map_groups(
-        per_part, batch_format="pyarrow")
+    edges = relations_ds.map_batches(lambda t: t.select([src, dst]),
+                                     batch_format="pyarrow")
+    return cogroup(edges, frontier_ds, [src], ["entity_id"], per_frame,
+                   n_buckets=n_parts)
 
 
 def _distinct_minus(cand_ds, visited_ds, n_parts: int,
                     id_type: pa.DataType):
     """Globally distinct candidate ids NOT present in the visited
-    Dataset — one hash shuffle on id, per-partition vectorized set
-    difference. Both inputs carry a single ``entity_id`` column."""
+    Dataset — one ``shuffle.cogroup`` on the id, per-frame vectorized
+    set difference. Both inputs carry a single ``entity_id`` column."""
+    from prompture_ray.stages.shuffle import cogroup
 
-    def tag(side_val: int):
-        def fn(t: pa.Table) -> pa.Table:
-            t = t.select(["entity_id"])
-            p = _part_of(t["entity_id"].to_numpy(zero_copy_only=False),
-                         n_parts)
-            t = t.append_column("__part", pa.array(p, type=pa.int64()))
-            return t.append_column("__side", pa.array(
-                np.full(t.num_rows, side_val, dtype=np.int64)))
-        return fn
-
-    tagged = cand_ds.map_batches(tag(1), batch_format="pyarrow").union(
-        visited_ds.map_batches(tag(0), batch_format="pyarrow"))
-
-    def per_part(g: pa.Table) -> pa.Table:
-        cand = np.unique(_ids_of(g, "entity_id", 1))
-        seen = np.unique(_ids_of(g, "entity_id", 0))
+    def per_frame(c: pa.Table, v: pa.Table) -> pa.Table:
+        cand = np.unique(_non_null(c, "entity_id"))
+        seen = np.unique(_non_null(v, "entity_id"))
         return pa.table({"entity_id": pa.array(
             cand[~_member_mask(cand, seen)], type=id_type)})
 
-    return tagged.groupby("__part").map_groups(
-        per_part, batch_format="pyarrow")
+    return cogroup(cand_ds, visited_ds, ["entity_id"], ["entity_id"],
+                   per_frame, n_buckets=n_parts)
 
 
 def k_hop_neighbors(relations_ds, seed_ids, k: int = 2,
@@ -369,8 +325,10 @@ def k_hop_neighbors(relations_ds, seed_ids, k: int = 2,
         frontier_ds = _ds_of(frontier)
         visited_ds = _ds_of(visited)
         while hop <= k:
+            # materialized: cogroup reads its inputs' schemas, which
+            # would otherwise run the semi-join a second time
             cand = _semi_join_dst(relations_ds, frontier_ds, src, dst,
-                                  n_parts, id_type)
+                                  n_parts, id_type).materialize()
             nxt_ds = _distinct_minus(cand, visited_ds, n_parts,
                                      id_type).materialize()
             if nxt_ds.count() == 0:

@@ -239,15 +239,24 @@ def extract_anchor_texts(ds, html_col: str, id_col: str):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
+def _edge_rows(t: pa.Table) -> pa.Table:
+    """Canonical edges as ``(u, v, w=0, e=1)`` rows, the edge arm of a
+    wedge ∪ edge fold (wedge rows are ``w=1, e=0``)."""
+    n = len(t)
+    return pa.table({"u": t["u"], "v": t["v"],
+                     "w": pa.array(np.zeros(n, dtype=np.int64)),
+                     "e": pa.array(np.ones(n, dtype=np.int64))})
+
+
 def canonical_edges(edges, a_col: str = "src", b_col: str = "dst",
                     n_parts: int = 128):
     """Globally-distinct canonical undirected edges ``(u, v)`` with
     ``u < v`` (self-loops dropped, duplicate/reverse edges collapsed):
     per-batch canonicalize + Arrow-distinct shrink, then ONE
-    hash(u, v) % n_parts row shuffle where the per-partition
-    drop_duplicates is a global distinct (a pair always lands whole).
-    Shared by triangle_count / k_core."""
-    from prompture_ray.functions.sketches import hash64
+    ``partition_fold`` on (u, v) (``n_parts`` partitions) where the
+    per-frame drop_duplicates is a global distinct (a pair always lands
+    whole). Shared by triangle_count / k_core."""
+    from prompture_ray.stages.shuffle import partition_fold
 
     def canon(t: pa.Table) -> pa.Table:
         a = t[a_col].combine_chunks().cast(pa.int64())
@@ -256,22 +265,18 @@ def canonical_edges(edges, a_col: str = "src", b_col: str = "dst",
         a, b = a.filter(keep), b.filter(keep)
         u = pc.min_element_wise(a, b)
         v = pc.max_element_wise(a, b)
-        g = pa.table({"u": u, "v": v}).group_by(["u", "v"]).aggregate([])
-        un = g["u"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        vn = g["v"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pb = ((hash64(un) * np.uint64(0x9E3779B97F4A7C15) + hash64(vn))
-              % np.uint64(n_parts)).astype(np.int64)
-        return g.append_column("__pb", pa.array(pb))
+        return pa.table({"u": u, "v": v}).group_by(["u", "v"]) \
+            .aggregate([])
 
     def distinct(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["u", "v"])[["u", "v"]]
 
-    # bound the groupby's input block count (round-5 pathology:
-    # groupby sort cost follows INPUT blocks — a 1500-fragment corpus
-    # pays superlinearly without this coalesce)
-    return edges.map_batches(canon, batch_format="pyarrow") \
-        .repartition(n_parts) \
-        .groupby("__pb").map_groups(distinct, batch_format="pandas")
+    # bound the fold's input block count (round-5 pathology: the sort
+    # cost follows INPUT blocks — a 1500-fragment corpus pays
+    # superlinearly without this coalesce)
+    return partition_fold(edges.map_batches(canon, batch_format="pyarrow"),
+                          ["u", "v"], distinct, n_parts=n_parts,
+                          shuffle_blocks=n_parts)
 
 
 def triangle_count(edges, a_col: str = "src", b_col: str = "dst", *,
@@ -290,11 +295,11 @@ def triangle_count(edges, a_col: str = "src", b_col: str = "dst", *,
     whose endpoints are themselves an edge. Each triangle is counted
     exactly once: only its lowest-rank corner emits the closing wedge.
 
-    Scale shape: THREE row shuffles, none carrying payload wider than
-    16-24 bytes/row — (1) hash(u,v) partition for exact edge distinct,
-    (2) hash(source) partition for wedge expansion, (3) hash(u,v)
-    partition of wedges ∪ edges for the closing count (per-partition
-    one vectorized pandas groupby; partials fold with one tiny Sum).
+    Scale shape: THREE ``partition_fold`` row shuffles, none carrying
+    payload wider than 16-24 bytes/row — (1) on (u, v) for exact edge
+    distinct, (2) on the source for wedge expansion, (3) on (u, v) of
+    wedges ∪ edges for the closing count (one vectorized pandas groupby
+    per fold frame; partials fold with one tiny Sum).
     Degree ranks ride a size-aware broadcast (sorted node/degree
     arrays via ray.put) while the node table fits ``broadcast_max``;
     beyond it the orientation falls back to id rank — still EXACT
@@ -303,7 +308,7 @@ def triangle_count(edges, a_col: str = "src", b_col: str = "dst", *,
     import ray
     from ray.data.aggregate import Sum
     from prompture_ray.stages.itemsets import pairs_within_sorted_groups
-    from prompture_ray.functions.sketches import hash64
+    from prompture_ray.stages.shuffle import partition_fold
 
     nparts = shuffle_blocks
     ded = canonical_edges(edges, a_col, b_col,
@@ -343,11 +348,8 @@ def triangle_count(edges, a_col: str = "src", b_col: str = "dst", *,
             swap = np.zeros(len(u), dtype=bool)  # canonical u<v already
         s = np.where(swap, v, u)
         d = np.where(swap, u, v)
-        pb = (hash64(s.astype(np.uint64)) % np.uint64(nparts)) \
-            .astype(np.int64)
         return pa.table({"s": pa.array(s, type=pa.int64()),
-                         "t": pa.array(d, type=pa.int64()),
-                         "__pb": pa.array(pb)})
+                         "t": pa.array(d, type=pa.int64())})
 
     def wedges(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["s", "t"], kind="mergesort")
@@ -364,21 +366,9 @@ def triangle_count(edges, a_col: str = "src", b_col: str = "dst", *,
                              "w": np.ones(len(x), dtype=np.int64),
                              "e": np.zeros(len(x), dtype=np.int64)})
 
-    wedge_ds = ded.map_batches(orient, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(wedges, batch_format="pandas")
-
-    def edge_tag(t: pa.Table) -> pa.Table:
-        n = len(t)
-        return pa.table({"u": t["u"], "v": t["v"],
-                         "w": pa.array(np.zeros(n, dtype=np.int64)),
-                         "e": pa.array(np.ones(n, dtype=np.int64))})
-
-    def pb_tag(t: pa.Table) -> pa.Table:
-        un = t["u"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        vn = t["v"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pb = ((hash64(un) * np.uint64(0x9E3779B97F4A7C15) + hash64(vn))
-              % np.uint64(nparts)).astype(np.int64)
-        return t.append_column("__pb2", pa.array(pb))
+    wedge_ds = partition_fold(
+        ded.map_batches(orient, batch_format="pyarrow"), ["s"], wedges,
+        n_parts=nparts)
 
     def close(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby(["u", "v"], sort=False).agg(
@@ -386,12 +376,10 @@ def triangle_count(edges, a_col: str = "src", b_col: str = "dst", *,
         n = int((agg["w"] * agg["e"]).sum())
         return pd.DataFrame({"n": np.array([n], dtype=np.int64)})
 
-    unioned = wedge_ds.union(ded.map_batches(edge_tag,
-                                             batch_format="pyarrow")) \
-        .map_batches(pb_tag, batch_format="pyarrow") \
-        .repartition(shuffle_blocks)
-    partials = unioned.groupby("__pb2").map_groups(
-        close, batch_format="pandas")
+    # wedges and edges share one schema: a one-sided fold on (u, v)
+    partials = partition_fold(
+        wedge_ds.union(ded.map_batches(_edge_rows, batch_format="pyarrow")),
+        ["u", "v"], close, n_parts=nparts, shuffle_blocks=shuffle_blocks)
     total = partials.aggregate(Sum("n", alias_name="n_triangles"))
     val = int(total["n_triangles"]) \
         if total and total.get("n_triangles") is not None else 0
@@ -671,13 +659,13 @@ def common_neighbors(edges, a_col: str = "src", b_col: str = "dst", *,
 
     Scale shape: the triangle_count pipeline with the orientation
     step removed (common-neighbor pairs need wedges from EVERY
-    center): symmetrize the distinct edge set, ONE hash(center)
-    partition + arithmetic neighbor-pair expansion per partition
+    center): symmetrize the distinct edge set, ONE ``partition_fold``
+    on the center with arithmetic neighbor-pair expansion per fold frame
     (Σ deg² work — cap hub degrees upstream on power-law graphs),
-    then ONE hash(u,v) partition folding wedge counts and edge flags
-    together in a single vectorized pandas pass."""
+    then ONE fold on (u, v) counting wedges and edge flags together in
+    a single vectorized pandas pass."""
     from prompture_ray.stages.itemsets import pairs_within_sorted_groups
-    from prompture_ray.functions.sketches import hash64
+    from prompture_ray.stages.shuffle import partition_fold
 
     nparts = shuffle_blocks
     ded = canonical_edges(edges, a_col, b_col,
@@ -686,12 +674,8 @@ def common_neighbors(edges, a_col: str = "src", b_col: str = "dst", *,
     def sym(t: pa.Table) -> pa.Table:
         u = t["u"].to_numpy(zero_copy_only=False).astype(np.int64)
         v = t["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-        c = np.r_[u, v]
-        n = np.r_[v, u]
-        pb = (hash64(c.astype(np.uint64)) % np.uint64(nparts)) \
-            .astype(np.int64)
-        return pa.table({"c": pa.array(c), "n": pa.array(n),
-                         "__pb": pa.array(pb)})
+        return pa.table({"c": pa.array(np.r_[u, v]),
+                         "n": pa.array(np.r_[v, u])})
 
     def wedges(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["c", "n"], kind="mergesort")
@@ -710,21 +694,9 @@ def common_neighbors(edges, a_col: str = "src", b_col: str = "dst", *,
                              "w": np.ones(len(x), dtype=np.int64),
                              "e": np.zeros(len(x), dtype=np.int64)})
 
-    wedge_ds = ded.map_batches(sym, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(wedges, batch_format="pandas")
-
-    def edge_tag(t: pa.Table) -> pa.Table:
-        n = len(t)
-        return pa.table({"u": t["u"], "v": t["v"],
-                         "w": pa.array(np.zeros(n, dtype=np.int64)),
-                         "e": pa.array(np.ones(n, dtype=np.int64))})
-
-    def pb_tag(t: pa.Table) -> pa.Table:
-        un = t["u"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        vn = t["v"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pb = ((hash64(un) * np.uint64(0x9E3779B97F4A7C15)
-               + hash64(vn)) % np.uint64(nparts)).astype(np.int64)
-        return t.append_column("__pb2", pa.array(pb))
+    wedge_ds = partition_fold(
+        ded.map_batches(sym, batch_format="pyarrow"), ["c"], wedges,
+        n_parts=nparts)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby(["u", "v"], sort=False).agg(
@@ -734,12 +706,9 @@ def common_neighbors(edges, a_col: str = "src", b_col: str = "dst", *,
         agg["is_edge"] = agg["is_edge"].astype("int64")
         return agg
 
-    unioned = wedge_ds.union(
-        ded.map_batches(edge_tag, batch_format="pyarrow")) \
-        .map_batches(pb_tag, batch_format="pyarrow") \
-        .repartition(shuffle_blocks)
-    return unioned.groupby("__pb2").map_groups(
-        fold, batch_format="pandas")
+    return partition_fold(
+        wedge_ds.union(ded.map_batches(_edge_rows, batch_format="pyarrow")),
+        ["u", "v"], fold, n_parts=nparts, shuffle_blocks=shuffle_blocks)
 
 
 def negative_edges(edges, k: int, a_col: str = "src",

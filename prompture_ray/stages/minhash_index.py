@@ -450,7 +450,6 @@ def minhash_index_flags_partitioned(ds, index_dir: str,
     tests/test_minhash_index.py."""
     import pandas as pd
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Max
 
     meta = read_meta(index_dir)
     n_perm, n_bands = int(meta["n_perm"]), int(meta["n_bands"])
@@ -494,6 +493,8 @@ def minhash_index_flags_partitioned(ds, index_dir: str,
             "wave_id": pa.array(wid[src], type=pa.int64()),
             "cand_id": pa.array(cids[idx], type=pa.int64())})
 
+    # stays a Ray map_groups: each call opens the files of the one
+    # on-disk bucket it was called for
     cands = band_rows.groupby("bucket") \
         .map_groups(bucket_cands, batch_format="pyarrow")
 
@@ -507,19 +508,12 @@ def minhash_index_flags_partitioned(ds, index_dir: str,
         return pa.table({"wave_id": pa.array(w[uidx], type=pa.int64()),
                          "cand_id": pa.array(c[uidx], type=pa.int64())})
 
-    def tag_pair(t: pa.Table) -> pa.Table:
-        w = t["wave_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_p", pa.array((w.astype(np.uint64) % np.uint64(n_parts))
-                           .astype(np.int64)))
+    from prompture_ray.stages.shuffle import join, partition_fold
 
-    # per-(wave partition) distinct, then join wave sigs on
-    cand_d = cands.map_batches(tag_pair, batch_format="pyarrow") \
-        .groupby("_p").map_groups(
-            lambda g: distinct_pairs(g.drop_columns(["_p"])),
-            batch_format="pyarrow").materialize()
-
-    from prompture_ray.stages.shuffle import join
+    # wave-id fold distinct, then join wave sigs on
+    cand_d = partition_fold(cands, ["wave_id"], distinct_pairs,
+                            n_parts=n_parts,
+                            batch_format="pyarrow").materialize()
     paired = join(
         cand_d, wave_sigs.map_batches(
             lambda t: t.rename_columns(["wave_id", "wave_sig"]),
@@ -565,6 +559,8 @@ def minhash_index_flags_partitioned(ds, index_dir: str,
             "agree": agree[hit],
             "cand_id": cids[ok][hit]})
 
+    # stays a Ray map_groups: each call opens the files of the one
+    # on-disk signature bucket it was called for
     hits = paired.map_batches(tag_sigbucket, batch_format="pandas") \
         .groupby("_sb").map_groups(verify, batch_format="pandas") \
         .materialize()
@@ -585,14 +581,8 @@ def minhash_index_flags_partitioned(ds, index_dir: str,
             "est_jaccard": f["agree"].to_numpy(),
             "match_id": f["cand_id"].to_numpy().astype(np.int64)})
 
-    best = hits.map_batches(
-        lambda t: t.append_column("_p", pa.array(
-            (t["wave_id"].to_numpy(zero_copy_only=False)
-             .astype(np.uint64) % np.uint64(n_parts))
-            .astype(np.int64))), batch_format="pyarrow") \
-        .groupby("_p").map_groups(
-            lambda g: best_fold(g.drop(columns=["_p"])),
-            batch_format="pandas").materialize()
+    best = partition_fold(hits, ["wave_id"], best_fold,
+                          n_parts=n_parts).materialize()
 
     # broadcast the (small) hit fold onto the wave rows — hits are
     # bounded by the wave size, not the corpus

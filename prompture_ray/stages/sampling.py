@@ -90,8 +90,8 @@ def domain_cap(ds, domain_col: str, id_col: str, cap: int,
     Shape (never a full per-domain sort): pass 1 keeps the cap smallest
     ids PER DOMAIN PER BATCH (vectorized pandas groupby head — a
     combiner, so at most cap × n_batches candidate rows per domain move);
-    pass 2 folds candidates per 64-bit domain hash inside bounded
-    ``hash % cells`` frames to the cap-th smallest id (the domain's keep
+    pass 2 folds candidates per 64-bit domain hash (one
+    ``partition_fold``) to the cap-th smallest id (the domain's keep
     threshold). Pass 3: ``shuffle.lookup`` maps the thresholds (one row
     per domain — Heaps-ish small) back onto the rows by domain hash —
     broadcast up to ``broadcast_max`` domains (flagging is a pure map),
@@ -99,27 +99,22 @@ def domain_cap(ds, domain_col: str, id_col: str, cap: int,
     import pandas as pd
     import pyarrow.compute as pc
     from prompture_ray.functions.sketches import hash64
-    from prompture_ray.stages.shuffle import lookup
+    from prompture_ray.stages.shuffle import lookup, partition_fold
 
     def dom_hash(dom_obj: np.ndarray) -> np.ndarray:
         return hash64(dom_obj.astype(object)).view(np.int64)
 
-    def candidates(b: pd.DataFrame) -> pd.DataFrame:
+    def candidates(b: pd.DataFrame) -> pa.Table:
         b = b[[domain_col, id_col]].sort_values([domain_col, id_col],
                                                 kind="mergesort")
         rank = b.groupby(domain_col, sort=False).cumcount()
         b = b[rank.to_numpy() < cap]
-        return pd.DataFrame({
-            "__dh": dom_hash(b[domain_col].to_numpy()),
-            "id": b[id_col].to_numpy().astype(np.int64)})
-
-    n_cells = n_buckets * 2
-
-    def add_cell(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__cell"] = (b["__dh"].to_numpy().view(np.uint64)
-                       % np.uint64(n_cells)).astype(np.int64)
-        return b
+        # an Arrow block: pandas schema metadata would make the fold's
+        # block schemas unhashable
+        return pa.table({
+            "__dh": pa.array(dom_hash(b[domain_col].to_numpy()),
+                             type=pa.int64()),
+            "id": pa.array(b[id_col].to_numpy().astype(np.int64))})
 
     def fold_cell(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["__dh", "id"], kind="mergesort")
@@ -132,10 +127,9 @@ def domain_cap(ds, domain_col: str, id_col: str, cap: int,
         return pd.DataFrame({"__dh": thr["__dh"].to_numpy(),
                              "thr": thr["id"].to_numpy()})
 
-    thresholds = ds.map_batches(candidates, batch_format="pandas") \
-        .map_batches(add_cell, batch_format="pandas") \
-        .groupby("__cell").map_groups(fold_cell, batch_format="pandas") \
-        .materialize()
+    thresholds = partition_fold(
+        ds.map_batches(candidates, batch_format="pandas"), ["__dh"],
+        fold_cell, n_parts=n_buckets * 2).materialize()
 
     def project(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -361,14 +355,15 @@ def assign_shards(ds, id_col: str, n_shards: int,
     ~``cells_per_shard`` cells per shard: per-batch partial counts fold
     into the distinct-cell table (bounded by n_shards × cells_per_shard
     rows, independent of corpus size), its per-shard exclusive prefix
-    is broadcast as sorted arrays, rows shuffle once by
-    hash(cell) % n_parts, and each partition ranks all its cells in one
-    vectorized sort + grouped cumcount. Output = input columns +
-    (shard, pos), rows grouped by cell (contiguous shard runs)."""
+    is broadcast as sorted arrays, rows shuffle once in a
+    ``partition_fold`` on the cell, and each fold frame ranks all its
+    cells in one vectorized sort + grouped cumcount. Output = input
+    columns + (shard, pos), rows grouped by cell (contiguous shard
+    runs)."""
     import pandas as pd
     import ray
     from ray.data.aggregate import Sum
-    from prompture_ray.functions.sketches import hash64
+    from prompture_ray.stages.shuffle import partition_fold
 
     shift = max(0, 32 - int(np.ceil(np.log2(max(cells_per_shard, 2)))))
     n_hb = np.int64(1) << np.int64(32 - shift)
@@ -406,15 +401,12 @@ def assign_shards(ds, id_col: str, n_shards: int,
     offsets = start - base
     ref = ray.put((cell_ids, offsets))
 
-    def tag(t: pa.Table) -> pa.Table:
+    def add_cells(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         h, shard, cell = _cells(ids)
         t = t.append_column("__h", pa.array(h, type=pa.int64()))
         t = t.append_column("shard", pa.array(shard, type=pa.int64()))
-        t = t.append_column("__cell", pa.array(cell, type=pa.int64()))
-        pb = (hash64(cell).astype(np.uint64)
-              % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb, type=pa.int64()))
+        return t.append_column("__cell", pa.array(cell, type=pa.int64()))
 
     def rank_part(g: pd.DataFrame) -> pd.DataFrame:
         cells_sorted, offs = ray.get(ref)
@@ -424,17 +416,17 @@ def assign_shards(ds, id_col: str, n_shards: int,
         i = np.searchsorted(cells_sorted,
                             g["__cell"].to_numpy().astype(np.int64))
         g["pos"] = (offs[i] + local).astype(np.int64)
-        return g.drop(columns=["__h", "__cell", "__pb"])
+        return g.drop(columns=["__h", "__cell"])
 
-    # Ray groupby sort cost follows the INPUT block count (round-5
-    # fact: a 1500-block input made this shuffle 38× slower at 10×
-    # rows) — coalesce to a bounded count before the groupby. n_rows
-    # comes free from the cell table.
+    # the sort cost follows the INPUT block count (round-5 fact: a
+    # 1500-block input made this shuffle 38× slower at 10× rows) —
+    # coalesce to a bounded count before the fold. n_rows comes free
+    # from the cell table.
     n_rows = int(c.sum())
     n_blocks = max(n_parts, min(1024, n_rows // 500_000 + 1))
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .repartition(n_blocks) \
-        .groupby("__pb").map_groups(rank_part, batch_format="pandas")
+    return partition_fold(ds.map_batches(add_cells, batch_format="pyarrow"),
+                          ["__cell"], rank_part, n_parts=n_parts,
+                          shuffle_blocks=n_blocks)
 
 
 def priority_sample_k(ds, id_col: str, weight_col: str, group_col: str,

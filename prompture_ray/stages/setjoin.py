@@ -24,13 +24,15 @@ is probabilistic. The pruning stack is the classic one:
 Scale shape: tokenization/prefix selection are per-batch vectorized
 passes (text never shuffles); df is one narrow lexicon-bounded
 shuffle; candidate generation and intersection counting are each ONE
-hash64(token) % P row shuffle with a single vectorized
-sort + run-boundary + arithmetic pair-expansion pass per partition
+``shuffle.partition_fold`` on the token hash with a single vectorized
+sort + run-boundary + arithmetic pair-expansion pass per fold frame
 (itemsets.pairs_within_sorted_groups — no Python loop, no frame per
-token). The verify stage broadcasts only the candidate-id and
-candidate-pair arrays (O(candidates), enforced by ``candidate_max``
-with an actionable error — at web scale raise τ or use
-dedup_shingle's MinHash path for recall-bounded discovery first).
+token), and pairs dedupe or sum in one more fold on ``(a, b)``. The
+verify stage broadcasts only the candidate-id and candidate-pair
+arrays (O(candidates), enforced by ``candidate_max`` with an
+actionable error — at web scale raise τ or use dedup_shingle's MinHash
+path for recall-bounded discovery first). Both joins share every stage
+but candidate emission and the final test.
 """
 
 from __future__ import annotations
@@ -44,10 +46,14 @@ import pyarrow.compute as pc
 
 from prompture_ray.functions.sketches import hash64
 from prompture_ray.stages.itemsets import pairs_within_sorted_groups
+from prompture_ray.stages.shuffle import partition_fold
 
 _EMPTY_PAIRS = pd.DataFrame({
     "a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"),
     "na": pd.Series(dtype="int64"), "nb": pd.Series(dtype="int64")})
+_EMPTY_ABC = pd.DataFrame({
+    "a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"),
+    "c": pd.Series(dtype="int64")})
 
 
 def _token_runs(g: pd.DataFrame):
@@ -85,35 +91,40 @@ def _tok_sets(t: pa.Table, id_col: str, text_col: str):
     return df
 
 
-def set_similarity_join(ds, id_col: str, text_col: str,
-                        threshold: float | Fraction, *,
-                        broadcast_max: int = 20_000_000,
-                        candidate_max: int = 5_000_000,
-                        rows_per_part: int = 500_000):
-    """All pairs (a < b) of rows whose whitespace token SETS have
-    Jaccard ≥ ``threshold``; returns columns (a, b, inter, size_a,
-    size_b, jaccard). ``threshold`` is taken as an exact rational
-    (float inputs like 0.5 convert exactly; pass a Fraction for
-    non-dyadic rates) so the threshold test is pure int64.
-
-    Caller contract: ``id_col`` values are distinct, non-negative and
-    < 2^31 (the packed pair-key filter; ids beyond that → pre-map ids,
-    as dedup's namespacing queries do)."""
+def _rate(threshold: float | Fraction, who: str) -> tuple[int, int]:
+    """``threshold`` as an exact rational ``(num, den)`` (float inputs
+    like 0.5 convert exactly), so every threshold test is pure int64."""
     frac = Fraction(threshold).limit_denominator(10**9) \
         if not isinstance(threshold, Fraction) else threshold
-    num, den = frac.numerator, frac.denominator
     if not (0 < frac <= 1):
-        raise ValueError("set_similarity_join: threshold in (0, 1]")
-    from ray.data.aggregate import Count
-    import ray
+        raise ValueError(f"{who}: threshold in (0, 1]")
+    return frac.numerator, frac.denominator
 
-    # ---- postings: distinct (id, token) + per-id set size ----------
-    # tokens are hashed to int64 ONCE here ("th") — every downstream
-    # order/lookup/partition works on ints (object-string searchsorted
-    # over a millions-entry lexicon was the measured hot spot: ~20×
-    # log(lexicon) Python comparisons per posting); the token STRING
-    # still travels and run grouping re-checks true string equality,
-    # so hash collisions never merge tokens — exactness is unaffected
+
+def _i64(t: pa.Table, col: str) -> np.ndarray:
+    return t[col].to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def _collect(ds, cols: list) -> pa.Table:
+    """The int64 ``cols`` of every block of ``ds`` in one Arrow table."""
+    blocks = [b.select(cols) for b in ds.iter_batches(batch_format="pyarrow")
+              if b.num_rows]
+    if not blocks:
+        return pa.table({c: pa.array([], type=pa.int64()) for c in cols})
+    return pa.concat_tables(blocks, promote_options="default")
+
+
+def _postings(ds, id_col: str, text_col: str, rows_per_part: int):
+    """Distinct ``(id, tok, th, n)`` postings (``n`` = the row's set
+    size), materialized with a bounded block count, and the partition
+    count of every fold (~``rows_per_part`` postings each, floor 64).
+
+    Tokens are hashed to int64 ONCE here ("th"): every downstream
+    order, lookup and partition works on ints (object-string
+    searchsorted over a millions-entry lexicon was the measured hot
+    spot: ~20× log(lexicon) Python comparisons per posting); the token
+    STRING still travels and run grouping re-checks true string
+    equality, so hash collisions never merge tokens."""
     def postings(t: pa.Table) -> pa.Table:
         df = _tok_sets(t, id_col, text_col)
         n = df.groupby("id", sort=False)["tok"].transform("size") \
@@ -129,147 +140,96 @@ def set_similarity_join(ds, id_col: str, text_col: str,
 
     posts = ds.map_batches(postings, batch_format="pyarrow") \
         .materialize()
-    # bound the block count ONCE before the grouped shuffles — groupby
-    # sort cost follows INPUT block count (round-5 pathology; the
-    # canonical_edges/frequent_pairs at-birth coalesce)
-    n_posts_pre = posts.count()
-    blk = int(max(64, np.ceil(n_posts_pre / rows_per_part)))
-    if posts.num_blocks() > 2 * blk:
-        posts = posts.repartition(blk).materialize()
+    # bound the block count ONCE before the folds: the sort cost follows
+    # the INPUT block count (the canonical_edges at-birth coalesce)
+    n_parts = int(max(64, np.ceil(posts.count() / rows_per_part)))
+    if posts.num_blocks() > 2 * n_parts:
+        posts = posts.repartition(n_parts).materialize()
+    return posts, n_parts
 
-    # ---- global token order: df-ascending when the lexicon fits ----
-    # df is counted per token HASH (a collision merges two tokens'
-    # counts — pruning heuristic only; the ORDER key stays consistent
-    # across docs because it is a function of th alone, so the prefix
-    # theorem holds regardless)
+
+def _df_lexicon(posts, broadcast_max: int):
+    """Object ref of the ``(token hash, df)`` arrays sorted by hash
+    when the lexicon fits ``broadcast_max`` rows, else None (plain hash
+    order — still a total order). df is counted per token HASH: a
+    collision merges two tokens' counts (pruning heuristic only); the
+    order key is a function of ``th`` alone, so it stays consistent
+    across docs and the prefix theorem holds regardless."""
+    import ray
+    from ray.data.aggregate import Count
+
     dft = posts.groupby("th").aggregate(Count(alias_name="df")) \
         .materialize()
-    lex_rows = dft.count()
-    if lex_rows <= broadcast_max:
-        lt = pa.concat_tables(
-            [b for b in dft.iter_batches(batch_format="pyarrow")],
-            promote_options="default")
-        ths = lt["th"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        dfs = lt["df"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        order = np.argsort(ths, kind="mergesort")
-        lex_ref = ray.put((ths[order], dfs[order]))
+    if dft.count() > broadcast_max:
+        return None
+    lt = _collect(dft, ["th", "df"])
+    ths, dfs = _i64(lt, "th"), _i64(lt, "df")
+    order = np.argsort(ths, kind="mergesort")
+    return ray.put((ths[order], dfs[order]))
+
+
+def _prefix_order(t: pa.Table, lex_ref, num: int, den: int):
+    """The postings ``t`` as Arrow rows sorted by (id, df, th, tok) and
+    the mask of each id's prefix: its first ``n − ⌈τ·n⌉ + 1`` tokens
+    in the global order."""
+    import ray
+    th = t["th"].to_numpy(zero_copy_only=False)
+    if lex_ref is not None:
+        sths, sdfs = ray.get(lex_ref)
+        key = sdfs[np.searchsorted(sths, th)]
     else:
-        lex_ref = None  # plain hash order — still a total order
+        key = np.zeros(len(th), dtype=np.int64)
+    d = t.to_pandas()
+    d["k"] = key
+    d = d.sort_values(["id", "k", "th", "tok"], kind="mergesort",
+                      ignore_index=True)
+    # position within id run
+    idv = d["id"].to_numpy()
+    starts = np.flatnonzero(np.r_[True, idv[1:] != idv[:-1]])
+    posi = np.arange(len(d), dtype=np.int64) \
+        - np.repeat(starts, np.diff(np.r_[starts, len(d)]))
+    nn = d["n"].to_numpy()
+    rows = pa.table({
+        "id": pa.array(d["id"].to_numpy(), type=pa.int64()),
+        "tok": pa.array(d["tok"].to_numpy(), type=pa.string()),
+        "th": pa.array(d["th"].to_numpy(), type=pa.int64()),
+        "n": pa.array(nn, type=pa.int64())})
+    return rows, posi < nn - (num * nn + den - 1) // den + 1
 
-    # ---- prefix postings -------------------------------------------
-    def prefix(t: pa.Table) -> pa.Table:
-        th = t["th"].to_numpy(zero_copy_only=False)
-        if lex_ref is not None:
-            sths, sdfs = ray.get(lex_ref)
-            key = sdfs[np.searchsorted(sths, th)]
-        else:
-            key = np.zeros(len(th), dtype=np.int64)
-        d = t.to_pandas()
-        d["k"] = key
-        d = d.sort_values(["id", "k", "th", "tok"], kind="mergesort",
-                          ignore_index=True)
-        # position within id run
-        idv = d["id"].to_numpy()
-        new = np.r_[True, idv[1:] != idv[:-1]]
-        starts = np.flatnonzero(new)
-        runlen = np.diff(np.r_[starts, len(d)])
-        posi = np.arange(len(d), dtype=np.int64) \
-            - np.repeat(starts, runlen)
-        nn = d["n"].to_numpy()
-        p = nn - (num * nn + den - 1) // den + 1
-        out = d[posi < p]
-        return pa.table({
-            "id": pa.array(out["id"].to_numpy()),
-            "tok": pa.array(out["tok"].to_numpy(), type=pa.string()),
-            "th": pa.array(out["th"].to_numpy()),
-            "n": pa.array(out["n"].to_numpy())})
 
-    pref = posts.map_batches(prefix, batch_format="pyarrow")
+def _distinct_ab(g: pd.DataFrame) -> pd.DataFrame:
+    # sizes ride along (identical on every duplicate)
+    return g.drop_duplicates(["a", "b"])
 
-    # ---- candidate pairs: one token-hash shuffle --------------------
-    n_posts = posts.count()
-    n_parts = int(max(64, np.ceil(n_posts / rows_per_part)))
 
-    def tag(t: pa.Table) -> pa.Table:
-        th = t["th"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64).view(np.uint64)
-        pb = (th % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb))
-
-    def pair_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return _EMPTY_PAIRS
-        g, sizes = _token_runs(g)
-        li, ri = pairs_within_sorted_groups(sizes)
-        if not len(li):
-            return _EMPTY_PAIRS
-        ids = g["id"].to_numpy()
-        ns = g["n"].to_numpy()
-        a, b = ids[li], ids[ri]
-        na, nb = ns[li], ns[ri]
-        # length filter: min·den ≥ max·num (ids sorted within run, but
-        # sizes arbitrary)
-        mn, mx = np.minimum(na, nb), np.maximum(na, nb)
-        ok = mn * den >= mx * num
-        return pd.DataFrame({"a": a[ok], "b": b[ok],
-                             "na": na[ok], "nb": nb[ok]})
-
-    cand = pref.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(pair_part, batch_format="pandas")
-
-    # pair dedupe: hash(a,b) partition + ONE vectorized drop_duplicates
-    # per partition — a grouped-aggregate dedupe over ~|pairs| DISTINCT
-    # two-column groups measured ~100× slower (60.5 vs 0.6 s at 850k
-    # pairs); sizes ride along (identical on every duplicate)
-    _GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-    def pair_tag(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        h = (hash64(a).astype(np.uint64) * _GOLD) \
-            ^ hash64(b).astype(np.uint64)
-        pb = (h % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb))
-
-    def pair_dedupe(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["a", "b"]).drop(columns="__pb")
-
-    pairs = cand.map_batches(pair_tag, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(pair_dedupe,
-                                    batch_format="pandas") \
-        .materialize()
+def _candidate_arrays(pairs, candidate_max: int, who: str):
+    """``(a, b, na, nb)`` int64 arrays of the candidate pair Dataset,
+    guarded: at most ``candidate_max`` pairs, ids in [0, 2^31) (the
+    packed ``(a << 32) | b`` pair keys)."""
     n_pairs = pairs.count()
     if n_pairs > candidate_max:
         raise ValueError(
-            f"set_similarity_join: {n_pairs} candidate pairs exceed "
+            f"{who}: {n_pairs} candidate pairs exceed "
             f"candidate_max={candidate_max}; raise the threshold or "
             "pre-bucket with dedup_shingle (MinHash) first")
+    pt = _collect(pairs, ["a", "b", "na", "nb"])
+    a, b = _i64(pt, "a"), _i64(pt, "b")
+    if len(a) and (max(a.max(), b.max()) >= 2**31
+                   or min(a.min(), b.min()) < 0):
+        raise ValueError(f"{who}: ids must be in [0, 2^31) — pre-map "
+                         "ids first")
+    return a, b, _i64(pt, "na"), _i64(pt, "nb")
 
-    # ---- broadcast candidate ids + packed pair keys ------------------
-    pt = pa.concat_tables(
-        [b for b in pairs.iter_batches(batch_format="pyarrow")],
-        promote_options="default")
-    pa_ = pt["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-    pb_ = pt["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-    na_ = pt["na"].to_numpy(zero_copy_only=False).astype(np.int64)
-    nb_ = pt["nb"].to_numpy(zero_copy_only=False).astype(np.int64)
-    if len(pa_) and (pa_.max() >= 2**31 or pb_.max() >= 2**31
-                     or pa_.min() < 0):
-        raise ValueError("set_similarity_join: ids must be in "
-                         "[0, 2^31) — pre-map ids first")
-    pk = (pa_ << np.int64(32)) | pb_
-    order = np.argsort(pk, kind="mergesort")
-    pk = pk[order]
-    size_a, size_b = na_[order], nb_[order]
-    cids = np.unique(np.r_[pa_, pb_])
-    bc = ray.put((cids, pk))
 
-    # ---- intersection counts for candidate ids only ------------------
-    _empty_abc = pd.DataFrame({"a": pd.Series(dtype="int64"),
-                               "b": pd.Series(dtype="int64"),
-                               "c": pd.Series(dtype="int64")})
+def _intersections(posts, cids: np.ndarray, keys: np.ndarray,
+                   n_parts: int):
+    """Exact ``(a, b, inter)`` (a < b) for the candidate pairs whose
+    packed keys ``(a << 32) | b`` are ``keys`` (sorted): the postings of
+    the candidate ids ``cids`` (sorted) only, one token-hash fold
+    counting each token run's listed pairs, then one ``(a, b)`` fold
+    summing the per-frame partial counts."""
+    import ray
+    bc = ray.put((cids, keys))
 
     def cand_only(t: pa.Table) -> pa.Table:
         cid, _ = ray.get(bc)
@@ -283,12 +243,12 @@ def set_similarity_join(ds, id_col: str, text_col: str,
 
     def inter_part(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) < 2:
-            return _empty_abc
+            return _EMPTY_ABC
         _, pks = ray.get(bc)
         g, sizes = _token_runs(g)
         li, ri = pairs_within_sorted_groups(sizes)
         if not len(li):
-            return _empty_abc
+            return _EMPTY_ABC
         ids = g["id"].to_numpy().astype(np.int64)
         a, b = ids[li], ids[ri]
         key = (a << np.int64(32)) | b
@@ -308,21 +268,77 @@ def set_similarity_join(ds, id_col: str, text_col: str,
         out["inter"] = out["inter"].astype("int64")
         return out
 
-    # per-token-partition partial counts → ONE hash(a,b) partition +
-    # one vectorized pandas groupby-sum per partition (same rationale
-    # as the pair dedupe above)
-    inter = posts.map_batches(cand_only, batch_format="pyarrow") \
-        .map_batches(tag, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(inter_part, batch_format="pandas") \
-        .map_batches(pair_tag, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(inter_fold, batch_format="pandas")
+    partial = partition_fold(
+        posts.map_batches(cand_only, batch_format="pyarrow"), ["th"],
+        inter_part, n_parts=n_parts)
+    return partition_fold(partial, ["a", "b"], inter_fold,
+                          n_parts=n_parts)
+
+
+def set_similarity_join(ds, id_col: str, text_col: str,
+                        threshold: float | Fraction, *,
+                        broadcast_max: int = 20_000_000,
+                        candidate_max: int = 5_000_000,
+                        rows_per_part: int = 500_000):
+    """All pairs (a < b) of rows whose whitespace token SETS have
+    Jaccard ≥ ``threshold``; returns columns (a, b, inter, size_a,
+    size_b, jaccard). ``threshold`` is taken as an exact rational
+    (float inputs like 0.5 convert exactly; pass a Fraction for
+    non-dyadic rates) so the threshold test is pure int64.
+
+    Caller contract: ``id_col`` values are distinct, non-negative and
+    < 2^31 (the packed pair-key filter; ids beyond that → pre-map ids,
+    as dedup's namespacing queries do)."""
+    num, den = _rate(threshold, "set_similarity_join")
+    posts, n_parts = _postings(ds, id_col, text_col, rows_per_part)
+    lex_ref = _df_lexicon(posts, broadcast_max)
+
+    def prefix(t: pa.Table) -> pa.Table:
+        rows, pre = _prefix_order(t, lex_ref, num, den)
+        return rows.filter(pa.array(pre))
+
+    # ---- candidate pairs: one token-hash fold ------------------------
+    def pair_part(g: pd.DataFrame) -> pd.DataFrame:
+        if len(g) < 2:
+            return _EMPTY_PAIRS
+        g, sizes = _token_runs(g)
+        li, ri = pairs_within_sorted_groups(sizes)
+        if not len(li):
+            return _EMPTY_PAIRS
+        ids = g["id"].to_numpy()
+        ns = g["n"].to_numpy()
+        a, b = ids[li], ids[ri]
+        na, nb = ns[li], ns[ri]
+        # length filter: min·den ≥ max·num (ids sorted within run, but
+        # sizes arbitrary)
+        mn, mx = np.minimum(na, nb), np.maximum(na, nb)
+        ok = mn * den >= mx * num
+        return pd.DataFrame({"a": a[ok], "b": b[ok],
+                             "na": na[ok], "nb": nb[ok]})
+
+    cand = partition_fold(
+        posts.map_batches(prefix, batch_format="pyarrow"), ["th"],
+        pair_part, n_parts=n_parts)
+    # pair dedupe: one (a, b) fold with ONE vectorized drop_duplicates
+    # per frame — a grouped-aggregate dedupe over ~|pairs| DISTINCT
+    # two-column groups measured ~100× slower (60.5 vs 0.6 s at 850k
+    # pairs)
+    pairs = partition_fold(cand, ["a", "b"], _distinct_ab,
+                           n_parts=n_parts).materialize()
+
+    # ---- broadcast candidate ids + packed pair keys ------------------
+    pa_, pb_, na_, nb_ = _candidate_arrays(pairs, candidate_max,
+                                           "set_similarity_join")
+    pk = (pa_ << np.int64(32)) | pb_
+    order = np.argsort(pk, kind="mergesort")
+    pk = pk[order]
+    size_a, size_b = na_[order], nb_[order]
+    inter = _intersections(posts, np.unique(np.r_[pa_, pb_]), pk,
+                           n_parts)
 
     # ---- exact threshold + jaccard -----------------------------------
     def finish(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        c = t["inter"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        a, b, c = _i64(t, "a"), _i64(t, "b"), _i64(t, "inter")
         key = (a << np.int64(32)) | b
         pos = np.searchsorted(pk, key)
         sa, sb = size_a[pos], size_b[pos]
@@ -381,94 +397,23 @@ def containment_join(ds, id_col: str, text_col: str,
     fans back out to the surviving directions. Same caller contract as
     :func:`set_similarity_join` (distinct ids in [0, 2^31));
     ``candidate_max`` guards the broadcast arrays."""
-    frac = Fraction(threshold).limit_denominator(10**9) \
-        if not isinstance(threshold, Fraction) else threshold
-    num, den = frac.numerator, frac.denominator
-    if not (0 < frac <= 1):
-        raise ValueError("containment_join: threshold in (0, 1]")
-    from ray.data.aggregate import Count
-    import ray
-
-    def postings(t: pa.Table) -> pa.Table:
-        df = _tok_sets(t, id_col, text_col)
-        n = df.groupby("id", sort=False)["tok"].transform("size") \
-            .to_numpy().astype(np.int64)
-        tok = df["tok"].to_numpy()
-        th = hash64(np.asarray(tok, dtype=object)) \
-            .astype(np.uint64).view(np.int64)
-        return pa.table({
-            "id": pa.array(df["id"].to_numpy()),
-            "tok": pa.array(tok, type=pa.string()),
-            "th": pa.array(th),
-            "n": pa.array(n)})
-
-    posts = ds.map_batches(postings, batch_format="pyarrow") \
-        .materialize()
-    n_posts = posts.count()
-    blk = int(max(64, np.ceil(n_posts / rows_per_part)))
-    if posts.num_blocks() > 2 * blk:
-        posts = posts.repartition(blk).materialize()
-
-    dft = posts.groupby("th").aggregate(Count(alias_name="df")) \
-        .materialize()
-    if dft.count() <= broadcast_max:
-        lt = pa.concat_tables(
-            [b for b in dft.iter_batches(batch_format="pyarrow")],
-            promote_options="default")
-        ths = lt["th"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        dfs = lt["df"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        order = np.argsort(ths, kind="mergesort")
-        lex_ref = ray.put((ths[order], dfs[order]))
-    else:
-        lex_ref = None
+    num, den = _rate(threshold, "containment_join")
+    posts, n_parts = _postings(ds, id_col, text_col, rows_per_part)
+    lex_ref = _df_lexicon(posts, broadcast_max)
 
     # role-tagged postings: every posting is F (full side); the
     # A-prefix postings are ADDITIONALLY emitted with role P
     def roles(t: pa.Table) -> pa.Table:
-        th = t["th"].to_numpy(zero_copy_only=False)
-        if lex_ref is not None:
-            sths, sdfs = ray.get(lex_ref)
-            key = sdfs[np.searchsorted(sths, th)]
-        else:
-            key = np.zeros(len(th), dtype=np.int64)
-        d = t.to_pandas()
-        d["k"] = key
-        d = d.sort_values(["id", "k", "th", "tok"], kind="mergesort",
-                          ignore_index=True)
-        idv = d["id"].to_numpy()
-        new = np.r_[True, idv[1:] != idv[:-1]]
-        starts = np.flatnonzero(new)
-        runlen = np.diff(np.r_[starts, len(d)])
-        posi = np.arange(len(d), dtype=np.int64) \
-            - np.repeat(starts, runlen)
-        nn = d["n"].to_numpy()
-        p = nn - (num * nn + den - 1) // den + 1
-        pref = d[posi < p].copy()
-        pref["role"] = np.int64(1)
-        d = d.drop(columns="k")
-        pref = pref.drop(columns="k")
-        d["role"] = np.int64(0)
-        both = pd.concat([d, pref], ignore_index=True)
-        return pa.Table.from_pandas(both, preserve_index=False)
-
-    tagged = posts.map_batches(roles, batch_format="pyarrow")
-    n_parts = int(max(64, np.ceil(n_posts / rows_per_part)))
-
-    def tag(t: pa.Table) -> pa.Table:
-        th = t["th"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64).view(np.uint64)
-        pb = (th % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb))
-
-    _empty_dir = pd.DataFrame({
-        "a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"),
-        "na": pd.Series(dtype="int64"), "nb": pd.Series(dtype="int64")})
+        rows, pre = _prefix_order(t, lex_ref, num, den)
+        n_pre = int(pre.sum())
+        idx = np.r_[np.arange(rows.num_rows), np.flatnonzero(pre)]
+        return rows.take(pa.array(idx, type=pa.int64())).append_column(
+            "role", pa.array(np.repeat(np.array([0, 1], dtype=np.int64),
+                                       [rows.num_rows, n_pre])))
 
     def pair_part(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) < 2:
-            return _empty_dir
+            return _EMPTY_PAIRS
         g = g.sort_values(["th", "tok", "role", "id"],
                           kind="mergesort", ignore_index=True)
         th = g["th"].to_numpy()
@@ -486,7 +431,7 @@ def containment_join(ds, id_col: str, text_col: str,
                                     pos[~pmask], run_id[~pmask],
                                     n_runs)
         if not len(li):
-            return _empty_dir
+            return _EMPTY_PAIRS
         ids = g["id"].to_numpy()
         ns = g["n"].to_numpy()
         a, b = ids[li], ids[ri]
@@ -495,110 +440,28 @@ def containment_join(ds, id_col: str, text_col: str,
         return pd.DataFrame({"a": a[ok], "b": b[ok],
                              "na": na[ok], "nb": nb[ok]})
 
-    cand = tagged.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(pair_part, batch_format="pandas")
+    cand = partition_fold(
+        posts.map_batches(roles, batch_format="pyarrow"), ["th"],
+        pair_part, n_parts=n_parts)
+    # directional pairs dedupe on (a, b) itself: (a, b) and (b, a) are
+    # two results, and each lands whole in one frame
+    pairs = partition_fold(cand, ["a", "b"], _distinct_ab,
+                           n_parts=n_parts).materialize()
 
-    _GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-    def pair_tag(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        h = (hash64(np.minimum(a, b)).astype(np.uint64) * _GOLD) \
-            ^ hash64(np.maximum(a, b)).astype(np.uint64)
-        pb = (h % np.uint64(n_parts)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb))
-
-    def pair_dedupe(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["a", "b"]).drop(columns="__pb")
-
-    pairs = cand.map_batches(pair_tag, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(pair_dedupe,
-                                    batch_format="pandas") \
-        .materialize()
-    n_pairs = pairs.count()
-    if n_pairs > candidate_max:
-        raise ValueError(
-            f"containment_join: {n_pairs} candidate pairs exceed "
-            f"candidate_max={candidate_max}; raise the threshold or "
-            "pre-bucket with dedup_shingle (MinHash) first")
-
-    pt = pa.concat_tables(
-        [b for b in pairs.iter_batches(batch_format="pyarrow")],
-        promote_options="default")
-    da = pt["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-    db = pt["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-    na_ = pt["na"].to_numpy(zero_copy_only=False).astype(np.int64)
-    nb_ = pt["nb"].to_numpy(zero_copy_only=False).astype(np.int64)
-    if len(da) and (da.max() >= 2**31 or db.max() >= 2**31
-                    or min(da.min(), db.min()) < 0):
-        raise ValueError("containment_join: ids must be in "
-                         "[0, 2^31) — pre-map ids first")
+    da, db, na_, nb_ = _candidate_arrays(pairs, candidate_max,
+                                         "containment_join")
     # canonical unordered keys for the shared intersection recount
     lo, hi = np.minimum(da, db), np.maximum(da, db)
-    ck = np.unique((lo << np.int64(32)) | hi)
-    cids = np.unique(np.r_[da, db])
-    bc = ray.put((cids, ck))
-
-    _empty_abc = pd.DataFrame({"a": pd.Series(dtype="int64"),
-                               "b": pd.Series(dtype="int64"),
-                               "c": pd.Series(dtype="int64")})
-
-    def cand_only(t: pa.Table) -> pa.Table:
-        cid, _ = ray.get(bc)
-        ids = t["id"].to_numpy(zero_copy_only=False)
-        hit = np.zeros(len(ids), dtype=bool)
-        if len(cid):
-            pos = np.searchsorted(cid, ids)
-            in_rng = pos < len(cid)
-            hit[in_rng] = cid[pos[in_rng]] == ids[in_rng]
-        return t.filter(pa.array(hit))
-
-    def inter_part(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return _empty_abc
-        _, cks = ray.get(bc)
-        g, sizes = _token_runs(g)
-        li, ri = pairs_within_sorted_groups(sizes)
-        if not len(li):
-            return _empty_abc
-        ids = g["id"].to_numpy().astype(np.int64)
-        a, b = ids[li], ids[ri]
-        key = (a << np.int64(32)) | b
-        pos = np.searchsorted(cks, key)
-        ok = np.zeros(len(key), dtype=bool)
-        in_rng = pos < len(cks)
-        ok[in_rng] = cks[pos[in_rng]] == key[in_rng]
-        d = pd.DataFrame({"a": a[ok], "b": b[ok]})
-        out = d.groupby(["a", "b"], sort=False).size().rename("c") \
-            .reset_index()
-        out["c"] = out["c"].astype("int64")
-        return out
-
-    def inter_fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(["a", "b"], sort=False)["c"].sum() \
-            .rename("inter").reset_index()
-        out["inter"] = out["inter"].astype("int64")
-        return out
-
-    inter = posts.map_batches(cand_only, batch_format="pyarrow") \
-        .map_batches(tag, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(inter_part, batch_format="pandas") \
-        .map_batches(pair_tag, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(inter_fold, batch_format="pandas") \
-        .materialize()
+    dkey = (lo << np.int64(32)) | hi
+    inter = _intersections(posts, np.unique(np.r_[da, db]),
+                           np.unique(dkey), n_parts)
 
     # canonical intersections back on the driver (≤ |candidate pairs|,
     # already guarded) → fan out to the surviving DIRECTIONAL rows
-    it = pa.concat_tables(
-        [b for b in inter.iter_batches(batch_format="pyarrow")],
-        promote_options="default")
-    ia = it["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-    ib = it["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-    ic = it["inter"].to_numpy(zero_copy_only=False).astype(np.int64)
-    ikey = (ia << np.int64(32)) | ib
+    it = _collect(inter, ["a", "b", "inter"])
+    ikey = (_i64(it, "a") << np.int64(32)) | _i64(it, "b")
     iorder = np.argsort(ikey, kind="mergesort")
-    ikey, ic = ikey[iorder], ic[iorder]
-    dkey = (lo << np.int64(32)) | hi
+    ikey, ic = ikey[iorder], _i64(it, "inter")[iorder]
     pos = np.searchsorted(ikey, dkey)
     cvals = np.zeros(len(dkey), dtype=np.int64)
     in_rng = pos < len(ikey)

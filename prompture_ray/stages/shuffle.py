@@ -14,6 +14,15 @@ partitions of a sorted block, the null-key partition always alone
 ``aggregate`` combines each batch with one Arrow ``group_by`` and
 merges the partials in a ``partition_fold`` with one more per fold
 frame, where Ray's ``groupby().aggregate`` walks every row in Python.
+Also built on ``partition_fold``: the per-key window and group-stat
+folds (``analytic``, ``windows``, ``groupstats``, ``intervals``,
+``userpath``, ``itemsets``) and every hash-bucket fold of the
+dedup/report half: the token and pair folds of ``setjoin``, the LSH
+bucket and pair-distinct folds and the doc-id rebuild folds of
+``dedup`` and ``boilerplate``, the edge, wedge and closing folds of
+``graph``, the token and doc folds of ``tfidf``, the chunk-hash fold of
+``cdc_chunks``, the domain and shard-cell folds of ``sampling`` and the
+wave-id folds of ``minhash_index``.
 
 When two Datasets meet on a key, ``cogroup`` is the shape: both sides
 are tagged with their ``partition_ids`` bucket, unioned as Arrow blocks
@@ -21,8 +30,9 @@ and folded the same way, and its function gets each fold frame's rows
 of the two sides as two typed Arrow tables. Built on it: ``join`` (the
 both-sides-large equi-join, one Arrow hash join per frame), the bucketed
 path of ``lookup``, the bucketed as-of and interval joins
-(``stages/joins.py``) and the partitioned referential anti-join
-(``stages/table_checks.py``). ``lookup`` attaches a per-key aggregate
+(``stages/joins.py``), the partitioned referential anti-join
+(``stages/table_checks.py``) and the k-hop semi-join and anti-join of
+``stages/entity_store.py``. ``lookup`` attaches a per-key aggregate
 (a group prior, quantile bounds, a term total) back to every row with
 one size dispatch — a small table is broadcast, a large one meets the
 rows in ``cogroup`` buckets — and one probe for both.

@@ -135,9 +135,9 @@ def tfidf_topk_terms(ds, text_col: str = "text", id_col: str = "doc_id",
 
     # 100-TB path: distinct (doc, term) rows × lexicon via the
     # hash-bucketed equi-join, then the same vectorized per-doc top-k
-    # inside bounded hash(id) partitions (each doc's candidate rows
-    # land wholly in one partition).
-    from prompture_ray.stages.shuffle import join
+    # in a doc-id fold (each doc's candidate rows land wholly in one
+    # fold frame).
+    from prompture_ray.stages.shuffle import join, partition_fold
 
     def posting_rows(t: pa.Table) -> pa.Table:
         ids, rows, terms, tf = _postings(t, text_col, id_col)
@@ -161,13 +161,7 @@ def tfidf_topk_terms(ds, text_col: str = "text", id_col: str = "doc_id",
                        g["df"].to_numpy().astype(np.int64))
         return t.to_pandas()
 
-    def tag(t: pa.Table) -> pa.Table:
-        part = (t["id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                % np.uint64(64)).astype(np.int32)
-        return t.append_column("_part", pa.array(part))
-
-    out = joined.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_part").map_groups(part_topk, batch_format="pandas")
+    out = partition_fold(joined, ["id"], part_topk, n_parts=64)
     empty = pa.table({"id": pa.array([], type=pa.int64()),
                       "rank": pa.array([], type=pa.int64()),
                       "term": pa.array([], type=pa.string()),
@@ -312,8 +306,8 @@ def vocab_jaccard(ds, group_col: str, text_col: str = "text",
     odds accepted); jaccard = inter / (size_a + size_b − inter) is ONE
     correctly-rounded double division of exact ints on both sides.
 
-    Scale shape: ONE hash64(token) % n_parts shuffle of 16-byte rows —
-    partitioning BY TOKEN makes the per-partition drop_duplicates a
+    Scale shape: ONE ``partition_fold`` of 16-byte rows on the token
+    hash — partitioning BY TOKEN makes the per-frame drop_duplicates a
     GLOBAL distinct, and every token's group set lands whole, so one
     vectorized run-boundary pass (itemsets' pair-expansion kernel)
     emits intersection partials and per-group size partials together;
@@ -322,6 +316,7 @@ def vocab_jaccard(ds, group_col: str, text_col: str = "text",
     import pandas as pd
     from ray.data.aggregate import Sum
     from prompture_ray.stages.itemsets import pairs_within_sorted_groups
+    from prompture_ray.stages.shuffle import partition_fold
     from prompture_ray.functions import limit_arrow_threads
 
     def pairs_partial(t: pa.Table) -> pa.Table:
@@ -342,13 +337,10 @@ def vocab_jaccard(ds, group_col: str, text_col: str = "text",
         th = hash64(toks).astype(np.int64)
         g = np.repeat(gv, row_len)[keep]
         df = pd.DataFrame({"g": g, "th": th}).drop_duplicates()
-        pb = (df["th"].to_numpy().astype(np.uint64)
-              % np.uint64(n_parts)).astype(np.int64)
         return pa.table({"g": pa.array(df["g"].to_numpy(),
                                        type=pa.string()),
                          "th": pa.array(df["th"].to_numpy(),
-                                        type=pa.int64()),
-                         "__pb": pa.array(pb)})
+                                        type=pa.int64())})
 
     def per_token(part: pd.DataFrame) -> pd.DataFrame:
         d = part.drop_duplicates(["g", "th"]) \
@@ -372,9 +364,9 @@ def vocab_jaccard(ds, group_col: str, text_col: str = "text",
         out["c"] = out["c"].astype("int64")
         return out
 
-    folded = ds.map_batches(pairs_partial, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
-        .groupby("__pb").map_groups(per_token, batch_format="pandas") \
+    folded = partition_fold(
+        ds.map_batches(pairs_partial, batch_format="pyarrow"), ["th"],
+        per_token, n_parts=n_parts, shuffle_blocks=shuffle_blocks) \
         .groupby(["ga", "gb"]).aggregate(Sum("c", alias_name="c")) \
         .to_pandas()          # bounded by groups² rows — the contract
 

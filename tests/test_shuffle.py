@@ -733,3 +733,163 @@ def test_bucketed_window_passthrough_above_2_53(ray_session, op):
     assert out.schema.field("w").type == pa.int64()
     assert dict(zip(out["tie"].to_pylist(), out["w"].to_pylist())) == {
         j: None if j % 3 == 0 else big + j for j in range(48)}
+
+
+# ---------------------------------------------------------------------------
+# stage ops on partition_fold / cogroup: one block against seven
+# ---------------------------------------------------------------------------
+def _docs() -> pa.Table:
+    """40 docs of four lines each over a 12-line pool; docs 20-39 are
+    docs 0-19 with their first line replaced, so lines, tokens and
+    near-copies repeat across docs."""
+    rng = np.random.default_rng(3)
+    pool = [f"line{j} " + " ".join(f"w{(j * 7 + x) % 40}" for x in range(5))
+            for j in range(12)]
+    texts = [[pool[j] for j in sorted(rng.choice(12, 4, replace=False))]
+             for _ in range(20)]
+    texts += [[f"fresh{i} tail{i}"] + t[1:] for i, t in enumerate(texts)]
+    n = len(texts)
+    return pa.table({"doc_id": pa.array(range(n), pa.int64()),
+                     "text": ["\n".join(t) for t in texts],
+                     "dom": [f"d{i % 7}" for i in range(n)],
+                     "grp": [f"g{i % 4}" for i in range(n)]})
+
+
+def _edges() -> pa.Table:
+    """Node ids at and above 2^61 (beyond float64's exact range) with
+    duplicate, reversed and self-loop edges."""
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 15, 60)
+    b = rng.integers(0, 15, 60)
+    base = 2**61
+    return pa.table({"src": pa.array(a + base, pa.int64()),
+                     "dst": pa.array(b + base, pa.int64()),
+                     "subject_id": pa.array(a + base, pa.int64()),
+                     "object_id": pa.array(b + base, pa.int64())})
+
+
+def _stage_ops():
+    from prompture_ray.stages import (dedup, entity_store, graph, sampling,
+                                      setjoin, tfidf)
+    seeds = [2**61 + 1, 2**61 + 2]
+    return {
+        "set_similarity_join": (_docs, lambda ds: setjoin.set_similarity_join(
+            ds, "doc_id", "text", 0.5)),
+        "containment_join": (_docs, lambda ds: setjoin.containment_join(
+            ds, "doc_id", "text", 0.7)),
+        "canonical_edges": (_edges, lambda ds: graph.canonical_edges(
+            ds, n_parts=8)),
+        "triangle_count": (_edges, lambda ds: graph.triangle_count(
+            ds, shuffle_blocks=8)),
+        "common_neighbors": (_edges, lambda ds: graph.common_neighbors(
+            ds, shuffle_blocks=8)),
+        "vocab_jaccard": (_docs, lambda ds: tfidf.vocab_jaccard(
+            ds, "grp", n_parts=8, shuffle_blocks=8)),
+        "tfidf_topk_terms": (_docs, lambda ds: tfidf.tfidf_topk_terms(
+            ds, broadcast_max=0, n_buckets=4)),
+        "line_dedup": (_docs, lambda ds: dedup.line_dedup(
+            ds, broadcast_max=0, n_buckets=4)),
+        "domain_cap": (_docs, lambda ds: sampling.domain_cap(
+            ds, "dom", "doc_id", 2, n_buckets=4)),
+        "assign_shards": (_docs, lambda ds: sampling.assign_shards(
+            ds.select_columns(["doc_id", "dom"]), "doc_id", 3,
+            cells_per_shard=4, n_parts=8)),
+        "k_hop_neighbors": (_edges, lambda ds: entity_store.k_hop_neighbors(
+            ds.select_columns(["subject_id", "object_id"]), seeds, k=3,
+            broadcast_max=0, n_parts=8, as_dataset=True)),
+    }
+
+
+@pytest.mark.parametrize("op", sorted(_stage_ops()))
+def test_stage_fold_is_layout_independent(ray_session, op):
+    """The same rows as one block and as seven give the same sorted
+    result, and every output block's schema hashes (no block carries
+    pandas schema metadata, which would send Ray's schema unification
+    down its slow path)."""
+    import ray
+    import ray.data as rd
+    data, fn = _stage_ops()[op]
+    t = data()
+    got = []
+    for blocks in ([t], _split(t, 7)):
+        out = fn(rd.from_arrow(blocks))
+        parts = [ray.get(r) for r in out.to_arrow_refs()]
+        assert len({b.schema for b in parts}) >= 1
+        df = pa.concat_tables(parts, promote_options="default").to_pandas()
+        df = df[sorted(df.columns)]
+        got.append(df.sort_values(list(df.columns), ignore_index=True))
+    assert len(got[0]) > 0
+    pd.testing.assert_frame_equal(got[0], got[1])
+
+
+# ---------------------------------------------------------------------------
+# no hand-rolled hash-bucket fold in stages/
+# ---------------------------------------------------------------------------
+# column names the hand-rolled taggers used for a partition id
+_TAG_COLS = {"__pb", "__pb2", "_p", "_sb", "_b", "__part", "_part",
+             "__cell", "bucket"}
+# (module, enclosing function, key): each fn opens the files of the one
+# on-disk bucket it is called for, or (components_label_propagation)
+# reuses edges tagged once across rounds
+_KEPT_SITES = {
+    ("minhash_index.py", "minhash_index_flags_partitioned", "bucket"),
+    ("minhash_index.py", "minhash_index_flags_partitioned", "_sb"),
+    ("dedup_index.py", "_dedup_partitioned", "_b"),
+    ("dedup.py", "components_label_propagation", "__pb"),
+}
+
+
+def _tagged_map_groups(source: str, module: str) -> set:
+    """``(module, top-level function, key)`` of every
+    ``.groupby(<key>).map_groups(...)`` in ``source`` keyed on one of
+    ``_TAG_COLS`` (function None at module level)."""
+    import ast
+    found = set()
+    for top in ast.parse(source).body:
+        fn_name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "map_groups"
+                    and isinstance(node.func.value, ast.Call)
+                    and isinstance(node.func.value.func, ast.Attribute)
+                    and node.func.value.func.attr == "groupby"
+                    and node.func.value.args):
+                continue
+            arg = node.func.value.args[0]
+            keys = arg.elts if isinstance(arg, (ast.List, ast.Tuple)) \
+                else [arg]
+            for k in keys:
+                if isinstance(k, ast.Constant) and k.value in _TAG_COLS:
+                    found.add((module, fn_name, k.value))
+    return found
+
+
+def test_guard_finds_a_hand_rolled_bucket_fold():
+    src = ("def op(ds):\n"
+           "    def inner(t):\n"
+           "        return t\n"
+           "    return ds.map_batches(tag).groupby('__pb') \\\n"
+           "        .map_groups(inner)\n"
+           "def other(ds):\n"
+           "    return ds.groupby(['_p']).map_groups(f)\n"
+           "def fine(ds):\n"
+           "    return ds.groupby('doc_id').map_groups(f)\n")
+    assert _tagged_map_groups(src, "m.py") == {("m.py", "op", "__pb"),
+                                               ("m.py", "other", "_p")}
+
+
+def test_stages_fold_hash_buckets_only_through_shuffle():
+    """Every hash/bucket/cell fold in ``stages/`` runs on
+    ``shuffle.partition_fold`` or ``cogroup`` (one call per run of whole
+    partitions, the key → partition rule in one place); only the listed
+    sites keep a tagged ``map_groups``."""
+    import pathlib
+    import prompture_ray.stages as stages
+    root = pathlib.Path(stages.__file__).parent
+    found = set()
+    for path in sorted(root.glob("*.py")):
+        if path.name != "shuffle.py":
+            found |= _tagged_map_groups(path.read_text(), path.name)
+    assert found - _KEPT_SITES == set()
+    assert _KEPT_SITES <= found, "a kept site moved: update _KEPT_SITES"
