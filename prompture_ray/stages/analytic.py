@@ -335,14 +335,6 @@ def global_row_number(ds, order_col: str, out_col: str = "rownum",
         return t.append_column("__one", pa.array(
             np.ones(t.num_rows, dtype=np.int64)))
 
-    # Ray groupby/join costs follow the INPUT block count (round-5
-    # fact; a 1500-block 9M-row input ran >20 min where 128 blocks
-    # take ~1 min) — coalesce to a bounded count first. count() on a
-    # non-trivial lineage executes it: pass a plain projected read or
-    # a materialized Dataset.
-    n_rows = ds.count()
-    ds = ds.repartition(max(64, min(1024, n_rows // 500_000 + 1)))
-
     run = running_aggregate_bucketed(
         ds.map_batches(prep, batch_format="pyarrow"),
         "__k", "__ts", "__one", bucket=bucket)
@@ -359,8 +351,7 @@ def global_row_number(ds, order_col: str, out_col: str = "rownum",
 # (PARTITION BY key ORDER BY ts, tie ROWS UNBOUNDED PRECEDING)
 # ---------------------------------------------------------------------------
 def forward_fill(ds, key_col: str, ts_col: str, tie_col: str,
-                 value_cols: list, n_parts: int = 64,
-                 shuffle_blocks: int = 128):
+                 value_cols: list, n_parts: int = 64):
     """Last-observation-carried-forward per key: every null in
     ``value_cols`` takes the most recent non-null value of the same key
     in (``ts_col``, ``tie_col``) order; leading nulls stay null — the
@@ -372,12 +363,7 @@ def forward_fill(ds, key_col: str, ts_col: str, tie_col: str,
     no driver state. Auto-size ``n_parts`` ≈ rows / 5M for
     huge inputs. Int64 value columns travel as nullable Int64 inside
     the partition pass (``types_mapper``), so hash-magnitude payloads
-    are NOT widened to float64 (the round-4 arrow-union lesson).
-
-    ``shuffle_blocks`` bounds the groupby's input block count (round-5
-    pathology: Ray groupby sort cost follows INPUT blocks — the
-    1500-fragment 9M-row rehearsal measured 128x superlinear before
-    this coalesce). Size ≈ rows / 500k beyond ~64M rows."""
+    are NOT widened to float64 (the round-4 arrow-union lesson)."""
     _int64 = {pa.int64(): pd.Int64Dtype(), pa.int32(): pd.Int64Dtype()}
 
     def fill(g: pa.Table) -> pd.DataFrame:
@@ -389,7 +375,6 @@ def forward_fill(ds, key_col: str, ts_col: str, tie_col: str,
         return df
 
     return partition_fold(ds, [key_col], fill, n_parts=n_parts,
-                          shuffle_blocks=shuffle_blocks,
                           batch_format="pyarrow")
 
 
@@ -398,8 +383,7 @@ def forward_fill(ds, key_col: str, ts_col: str, tie_col: str,
 # OVER (PARTITION BY key ORDER BY ts, tie)
 # ---------------------------------------------------------------------------
 def lag_shift(ds, key_col: str, ts_col: str, tie_col: str,
-              cols: list, shifts=(1,), n_parts: int = 64,
-              shuffle_blocks: int = 128):
+              cols: list, shifts=(1,), n_parts: int = 64):
     """Append ``{col}_lag{k}`` (k > 0) / ``{col}_lead{k}`` (k < 0)
     columns: the value of ``col`` k rows earlier/later within the same
     ``key_col`` group in (``ts_col``, ``tie_col``) order; out-of-range
@@ -418,9 +402,7 @@ def lag_shift(ds, key_col: str, ts_col: str, tie_col: str,
     no driver state. Auto-size ``n_parts`` ≈
     rows / 5M for huge inputs; a single pathologically hot key bounds a
     partition (use analytic_window_bucketed when one key's history
-    exceeds a worker). ``shuffle_blocks`` bounds the groupby's input
-    block count (round-5 pathology: groupby sort cost follows INPUT
-    blocks); size ≈ rows / 500k beyond ~64M rows."""
+    exceeds a worker)."""
     shifts = tuple(int(k) for k in shifts)
     if any(k == 0 for k in shifts):
         raise ValueError("lag_shift: shift 0 is the identity")
@@ -440,13 +422,11 @@ def lag_shift(ds, key_col: str, ts_col: str, tie_col: str,
         return df
 
     return partition_fold(ds, [key_col], shift_part, n_parts=n_parts,
-                          shuffle_blocks=shuffle_blocks,
                           batch_format="pyarrow")
 
 
 def suppress_bursts(ds, key_col: str, ts_col: str, tie_col: str,
-                    min_gap: int, n_parts: int = 64,
-                    shuffle_blocks: int = 128):
+                    min_gap: int, n_parts: int = 64):
     """Burst / recrawl suppression: drop a row when the PREVIOUS row of
     the same ``key_col`` (in ``ts_col``, ``tie_col`` order) is less than
     ``min_gap`` ``ts_col`` units earlier — the crawl-staple "skip a
@@ -457,8 +437,7 @@ def suppress_bursts(ds, key_col: str, ts_col: str, tie_col: str,
     must be integer (epoch-µs); comparisons are exact int64.
 
     Scale shape: one ``shuffle.partition_fold`` on the key, one
-    vectorized sort + groupby.shift + int compare per fold frame;
-    ``shuffle_blocks`` bounds the groupby's input block count."""
+    vectorized sort + groupby.shift + int compare per fold frame."""
 
     _int64 = {pa.int64(): pd.Int64Dtype(), pa.int32(): pd.Int64Dtype()}
 
@@ -479,13 +458,11 @@ def suppress_bursts(ds, key_col: str, ts_col: str, tie_col: str,
         return df[first | gap_ok]
 
     return partition_fold(ds, [key_col], keep_part, n_parts=n_parts,
-                          shuffle_blocks=shuffle_blocks,
                           batch_format="pyarrow")
 
 
 def time_weighted_avg(ds, key_col: str, ts_col: str, tie_col: str,
-                      val_col: str, n_parts: int = 64,
-                      shuffle_blocks: int = 128):
+                      val_col: str, n_parts: int = 64):
     """Time-weighted average per key — each value weighted by how long
     it held (until the key's next event; the last event holds for zero
     time): ``twa = Σ v_i·(t_{i+1}−t_i) / (t_last − t_first)`` — the
@@ -523,14 +500,12 @@ def time_weighted_avg(ds, key_col: str, ts_col: str, tie_col: str,
                              "num": num, "den": den,
                              "twa": num / den})
 
-    return partition_fold(ds, [key_col], fold, n_parts=n_parts,
-                          shuffle_blocks=shuffle_blocks)
+    return partition_fold(ds, [key_col], fold, n_parts=n_parts)
 
 
 def rolling_anomaly(ds, key_col: str, ts_col: str, tie_col: str,
                     val_col: str, window: int, k: int,
-                    min_n: int = 2, n_parts: int = 64,
-                    shuffle_blocks: int = 128):
+                    min_n: int = 2, n_parts: int = 64):
     """Rolling z-score anomaly flags per key WITHOUT floats: over the
     trailing window of ``window`` rows (current row + window−1
     preceding, per key in (ts, tie) order), flag
@@ -574,13 +549,12 @@ def rolling_anomaly(ds, key_col: str, ts_col: str, tie_col: str,
         g["is_anomaly"] = flag
         return g
 
-    return partition_fold(ds, [key_col], fold, n_parts=n_parts,
-                          shuffle_blocks=shuffle_blocks)
+    return partition_fold(ds, [key_col], fold, n_parts=n_parts)
 
 
 def cusum_flags(ds, key_col: str, ts_col: str, tie_col: str,
                 val_col: str, target_k: int, threshold_h: int,
-                n_parts: int = 64, shuffle_blocks: int = 128):
+                n_parts: int = 64):
     """One-sided CUSUM change-point detection per key WITHOUT floats:
     the classic recursive statistic ``S_t = max(0, S_{t-1} + v_t − k)``
     (Page's test; S_0 = 0) flags a sustained upward shift of the series
@@ -602,8 +576,7 @@ def cusum_flags(ds, key_col: str, ts_col: str, tie_col: str,
 
     Scale shape: one ``shuffle.partition_fold`` on the key (a key's
     whole history lands in one partition), one vectorized sort +
-    grouped cumsum/cummin pandas pass per fold frame; ``shuffle_blocks``
-    bounds the groupby's input block count."""
+    grouped cumsum/cummin pandas pass per fold frame."""
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col, tie_col],
@@ -618,13 +591,11 @@ def cusum_flags(ds, key_col: str, ts_col: str, tie_col: str,
         g["is_shift"] = s > int(threshold_h)
         return g
 
-    return partition_fold(ds, [key_col], fold, n_parts=n_parts,
-                          shuffle_blocks=shuffle_blocks)
+    return partition_fold(ds, [key_col], fold, n_parts=n_parts)
 
 
 def fir_smooth(ds, key_col: str, ts_col: str, tie_col: str,
-               val_col: str, taps: int = 8, n_parts: int = 64,
-               shuffle_blocks: int = 128):
+               val_col: str, taps: int = 8, n_parts: int = 64):
     """Exponentially-shaped FIR smoothing per key with DYADIC weights —
     the exactness-preserving stand-in for a recursive EWMA (whose state
     accumulates unbounded fractional bits and stops being
@@ -648,8 +619,7 @@ def fir_smooth(ds, key_col: str, ts_col: str, tie_col: str,
         raise ValueError("fir_smooth: taps must be >= 2")
     shifts = tuple(range(1, taps))
     lagged = lag_shift(ds, key_col, ts_col, tie_col, [val_col],
-                       shifts=shifts, n_parts=n_parts,
-                       shuffle_blocks=shuffle_blocks)
+                       shifts=shifts, n_parts=n_parts)
 
     def finish(t: pa.Table) -> pa.Table:
         n = t.num_rows
@@ -675,7 +645,7 @@ def fir_smooth(ds, key_col: str, ts_col: str, tie_col: str,
 
 
 def ntile_by_key(ds, key_col: str, order_col: str, n_tiles: int,
-                 n_parts: int = 64, shuffle_blocks: int = 128):
+                 n_parts: int = 64):
     """SQL ``NTILE(n)`` per key: rows of each key are ranked by
     ``order_col`` and dealt into ``n_tiles`` buckets, the first
     ``n mod k`` buckets taking one extra row (the ANSI fill). With
@@ -710,13 +680,11 @@ def ntile_by_key(ds, key_col: str, order_col: str, n_tiles: int,
         g["tile"] = tile.astype(np.int64)
         return g
 
-    return partition_fold(ds, [key_col], fold, n_parts=n_parts,
-                          shuffle_blocks=shuffle_blocks)
+    return partition_fold(ds, [key_col], fold, n_parts=n_parts)
 
 
 def max_drawdown_by_key(ds, key_col: str, ts_col: str, tie_col: str,
-                        val_col: str, n_parts: int = 64,
-                        shuffle_blocks: int = 128):
+                        val_col: str, n_parts: int = 64):
     """Maximum drawdown per key over the cumulative series
     ``P_t = Σ_{i≤t} v_i`` (ts, tie order): ``max_t (max_{j≤t} P_j −
     P_t)`` — the largest peak-to-trough drop, the classic risk /
@@ -743,8 +711,7 @@ def max_drawdown_by_key(ds, key_col: str, ts_col: str, tie_col: str,
         out["max_drawdown"] = out["max_drawdown"].astype("int64")
         return out
 
-    return partition_fold(ds, [key_col], fold, n_parts=n_parts,
-                          shuffle_blocks=shuffle_blocks)
+    return partition_fold(ds, [key_col], fold, n_parts=n_parts)
 
 
 def unpivot(ds, id_cols: list, value_cols: list,
@@ -785,8 +752,7 @@ def unpivot(ds, id_cols: list, value_cols: list,
 
 
 def longest_streak(ds, key_col: str, ts_col: str, tie_col: str,
-                   val_col: str, n_parts: int = 64,
-                   shuffle_blocks: int = 128):
+                   val_col: str, n_parts: int = 64):
     """Longest run of CONSECUTIVE EQUAL values per key in (ts, tie)
     order (gaps-and-islands: the engagement-streak / repeated-status
     audit). Returns one row per key: ``(key, streak, streak_val)`` —
@@ -827,5 +793,4 @@ def longest_streak(ds, key_col: str, ts_col: str, tie_col: str,
             "streak_val": vals[run_start[best]]})
         return out
 
-    return partition_fold(ds, [key_col], fold, n_parts=n_parts,
-                          shuffle_blocks=shuffle_blocks)
+    return partition_fold(ds, [key_col], fold, n_parts=n_parts)

@@ -48,8 +48,7 @@ chunk rows shuffle in one ``shuffle.partition_fold`` on the chunk hash,
 so duplicate detection is a run-boundary scan per fold frame (the
 _bucketed_group_pairs discipline, one vectorized lexsort pass — never a
 frame per chunk); per-doc partials fold through one final narrow
-grouped Sum. ``shuffle_blocks`` bounds the fold's input blocks (round-5
-pathology).
+grouped Sum.
 """
 from __future__ import annotations
 
@@ -170,8 +169,7 @@ def _chunk_rows(t: pa.Table, text_col: str, id_col: str,
 
 def cdc_chunk_stats(ds, text_col: str, id_col: str, *,
                     window: int = 16, mask_bits: int = 8,
-                    min_len: int = 48, n_parts: int = 64,
-                    shuffle_blocks: int = 128):
+                    min_len: int = 48, n_parts: int = 64):
     """Per-document CDC dedup statistics over a text/binary column:
     Dataset ``(doc_id, n_chunks, n_bytes, dup_bytes)`` where
     ``dup_bytes`` sums the lengths of this document's chunk occurrences
@@ -262,8 +260,7 @@ def cdc_chunk_stats(ds, text_col: str, id_col: str, *,
 
     partials = partition_fold(
         ds.map_batches(make_chunks, batch_format="pyarrow"), ["h"],
-        dedup_part, n_parts=n_parts, shuffle_blocks=shuffle_blocks,
-        batch_format="pyarrow")
+        dedup_part, n_parts=n_parts, batch_format="pyarrow")
     return partials.groupby("doc_id").aggregate(
         Sum("n_chunks", alias_name="n_chunks"),
         Sum("n_bytes", alias_name="n_bytes"),

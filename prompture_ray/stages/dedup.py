@@ -359,8 +359,7 @@ def _id_filter_fn(arr: pa.Array, need_ref):
     return pc.is_in(arr, value_set=pa.array(list(need)))
 
 
-def _bucketed_group_pairs(sigs, key_cols, group_fn, empty: pd.DataFrame,
-                          rows_per_part: int = 500_000):
+def _bucketed_group_pairs(sigs, key_cols, group_fn, empty: pd.DataFrame):
     """ONE ``shuffle.partition_fold`` on the bucket key for the
     bucket→pairs step, replacing the old three-pass shape (count
     aggregate over every band row + driver ray.put of the multi-bucket
@@ -368,7 +367,8 @@ def _bucketed_group_pairs(sigs, key_cols, group_fn, empty: pd.DataFrame,
     map_groups (the round-4 tiny-cells anti-pattern — a pandas frame per
     LSH bucket, including millions of singletons on the embedding path).
 
-    The fold has ~``rows_per_part`` rows per partition (floor 64), and
+    The fold has ~``shuffle.ROWS_PER_BLOCK`` rows per partition (floor
+    64, ``shuffle.target_blocks``), and
     every bucket lands wholly in one fold frame; each frame then runs a
     single vectorized pass: one lexsort, run-boundary detection on the
     key columns, and ``group_fn`` — unchanged from the per-bucket form,
@@ -378,11 +378,10 @@ def _bucketed_group_pairs(sigs, key_cols, group_fn, empty: pd.DataFrame,
 
     Removes the O(multi-buckets) driver broadcast entirely: nothing
     about the corpus's bucket structure ever lands on the driver."""
-    from prompture_ray.stages.shuffle import partition_fold
+    from prompture_ray.stages.shuffle import partition_fold, target_blocks
 
     sigs = sigs.materialize()
-    n_rows = sigs.count()
-    n_parts = int(max(64, np.ceil(n_rows / rows_per_part)))
+    n_parts = target_blocks(sigs.count())
 
     def part(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) < 2:
@@ -413,12 +412,11 @@ def _distinct_pairs(pairs_ds, min_col: str | None = None):
     DISTINCT two-column groups measured ~100× slower at ~1M pairs (60.5
     vs 0.6 s — the round-5 seventh-session finding); every pair lands
     wholly in one frame so per-pair semantics are unchanged."""
-    from prompture_ray.stages.shuffle import partition_fold
+    from prompture_ray.stages.shuffle import partition_fold, target_blocks
 
     alias = min_col
     pairs_ds = pairs_ds.materialize()
-    n_rows = pairs_ds.count()
-    n_parts = int(max(64, np.ceil(n_rows / 500_000)))
+    n_parts = target_blocks(pairs_ds.count())
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         if alias is None:
@@ -451,12 +449,10 @@ def _split_pairs_and_stats(raw_ds):
     superlinearly (the components-round lesson, same fix): consolidate
     to ~500k rows/block here, once, so every consumer of the pair
     multiset sorts over a bounded block count."""
-    raw = raw_ds.materialize()
-    n_raw = raw.count()
-    tgt = int(max(64, np.ceil(n_raw / 500_000)))
-    if raw.num_blocks() > 2 * tgt:
-        raw = raw.repartition(tgt).materialize()
+    from prompture_ray.stages.shuffle import bound_blocks
     import pyarrow.compute as _pc
+
+    raw = bound_blocks(raw_ds.materialize()).materialize()
 
     def is_counter(t: pa.Table) -> pa.Table:
         return t.filter(_pc.is_null(t["id_a"]))
@@ -1164,6 +1160,7 @@ def components_label_propagation(pairs_ds, max_rounds: int = 10,
     of d, with no flag from the caller.
     """
     from ray.data.aggregate import Min
+    from prompture_ray.stages.shuffle import bound_blocks
 
     def explode(t: pa.Table) -> pa.Table:
         a = pc.cast(t["id_a"], pa.int64())
@@ -1186,24 +1183,16 @@ def components_label_propagation(pairs_ds, max_rounds: int = 10,
     # block count GROW by the edge block count every round, and the
     # per-round sort cost climbs superlinearly (observed at 900k docs:
     # rounds of 21→46→59→297→319→1385 s on a CONSTANT 18k-row label
-    # table). Consolidating to ~500k rows/block (floor 64 blocks) keeps
-    # every round's shuffle flat.
-    n_edge_rows = edges.count()
-    target_blocks = int(max(64, np.ceil(n_edge_rows / 500_000)))
-    if edges.num_blocks() > 2 * target_blocks:
-        edges = edges.repartition(target_blocks).materialize()
-
-    def bound_blocks(lab):
-        if lab.num_blocks() > 2 * target_blocks:
-            lab = lab.repartition(target_blocks).materialize()
-        return lab
+    # table). ``shuffle.bound_blocks`` on the edges and on every
+    # round's label table keeps every round's shuffle flat.
+    edges = bound_blocks(edges).materialize()
 
     labels = bound_blocks(
         edges.groupby("id").aggregate(Min("peer", alias_name="m"))
         .map_batches(lambda t: pa.table({
             "id": t["id"],
             "label": pc.min_element_wise(t["id"], t["m"]),
-        }), batch_format="pyarrow").materialize())
+        }), batch_format="pyarrow").materialize()).materialize()
 
     from ray.data.aggregate import Sum
 
@@ -1303,9 +1292,9 @@ def components_label_propagation(pairs_ds, max_rounds: int = 10,
         msgs = tagged_labels.union(tagged_edges).groupby("__pb") \
             .map_groups(send_part, batch_format="pyarrow")
         labels = bound_blocks(msgs.groupby("id").aggregate(
-            Min("label", alias_name="label")).materialize())
+            Min("label", alias_name="label")).materialize()).materialize()
         if jump is True or (jump == "auto" and rnd >= auto_jump_after):
-            labels = bound_blocks(jump_once(labels))
+            labels = bound_blocks(jump_once(labels)).materialize()
         cur = label_checksum(labels)
         if cur == prev:
             break

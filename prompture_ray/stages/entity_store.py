@@ -293,6 +293,7 @@ def k_hop_neighbors(relations_ds, seed_ids, k: int = 2,
     """
     import pandas as pd
     import ray.data as rd
+    from prompture_ray.stages.shuffle import bound_blocks
     if direction not in ("out", "in"):
         raise ValueError("k_hop_neighbors: direction must be 'out' or 'in'")
     src = "subject_id" if direction == "out" else "object_id"
@@ -341,13 +342,11 @@ def k_hop_neighbors(relations_ds, seed_ids, k: int = 2,
 
             hop_datasets.append(nxt_ds.map_batches(
                 add_hop, batch_format="pyarrow").materialize())
-            visited_ds = visited_ds.union(nxt_ds).materialize()
             # union adds nxt's blocks EVERY hop — bound the visited
             # table's block count or the anti-join's sort cost grows
             # per hop on slowly-growing rows (components-round lesson)
-            tgt = int(max(64, np.ceil(visited_ds.count() / 500_000)))
-            if visited_ds.num_blocks() > 2 * tgt:
-                visited_ds = visited_ds.repartition(tgt).materialize()
+            visited_ds = bound_blocks(
+                visited_ds.union(nxt_ds).materialize()).materialize()
             frontier_ds = nxt_ds
             hop += 1
 

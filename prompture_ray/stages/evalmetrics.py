@@ -28,12 +28,12 @@ import pyarrow.compute as pc
 
 
 def auc_exact(ds, score_col: str, label_col: str, *,
-              max_distinct: int = 5_000_000,
-              shuffle_blocks: int = 128):
+              max_distinct: int = 5_000_000):
     """One-row Dataset ``(n_pos, n_neg, u2, auc)`` — the exact ROC AUC
     of ``score_col`` ranking ``label_col`` (0/1 ints). See module
     docstring for the integer-exact contract."""
     from ray.data.aggregate import Sum
+    from prompture_ray.stages.shuffle import bound_blocks
 
     def partial(t: pa.Table) -> pa.Table:
         g = pa.table({
@@ -45,8 +45,7 @@ def auc_exact(ds, score_col: str, label_col: str, *,
         return pa.table({"s": g["s"], "np": npos,
                          "nn": pc.subtract(tot, npos)})
 
-    counts = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
+    counts = bound_blocks(ds.map_batches(partial, batch_format="pyarrow")) \
         .groupby("s").aggregate(Sum("np", alias_name="np"),
                                 Sum("nn", alias_name="nn")) \
         .materialize()

@@ -23,6 +23,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from prompture_ray.stages.shuffle import bound_blocks, target_blocks
+
+# hash partitions of the edge, wedge and closing folds of triangle_count,
+# common_neighbors and k_core
+EDGE_PARTS = 128
+
 
 def pagerank(edges, src_col: str = "src", dst_col: str = "dst",
              k: int = 3, damping: float = 0.85,
@@ -74,13 +80,6 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst",
     # table's block count GROWS linearly per round and the join/sort
     # cost per round climbs superlinearly on constant rows (the
     # components-round lesson, dedup.py). Bound it per round.
-    target_blocks = int(max(64, np.ceil(n / 500_000)))
-
-    def bound_blocks(ds_):
-        if ds_.num_blocks() > 2 * target_blocks:
-            ds_ = ds_.repartition(target_blocks).materialize()
-        return ds_
-
     for _ in range(k):
         contrib_in = join(e, ranks, "src", "node", n_buckets=n_buckets)
 
@@ -102,7 +101,7 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst",
 
         ranks = bound_blocks(
             joined.map_batches(update, batch_format="pandas")
-            .materialize())
+            .materialize()).materialize()
     return ranks
 
 
@@ -149,15 +148,14 @@ def extract_links(ds, html_col: str, id_col: str):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def degree_table(edges, src_col: str = "src", dst_col: str = "dst",
-                 shuffle_blocks: int = 128):
+def degree_table(edges, src_col: str = "src", dst_col: str = "dst"):
     """In/out degree per node over an edge Dataset — the standard
     pre-PageRank audit (degree distribution, dangling/sink detection).
     Returns ``(node, out_deg, in_deg)`` covering distinct src ∪ dst.
 
     Scale shape: each batch reduces to per-node partial counts with two
     Arrow group_bys (≤ 2 rows per node per batch), then ONE grouped Sum
-    shuffle of 24-byte partial rows, coalesced to ``shuffle_blocks``
+    shuffle of 24-byte partial rows, bounded by ``shuffle.bound_blocks``
     first (round-5 pathology: groupby sort cost follows input block
     count — 19x superlinear at 10x rows over a 1500-fragment corpus
     before the coalesce). Edges never shuffle whole; the driver holds
@@ -184,8 +182,7 @@ def degree_table(edges, src_col: str = "src", dst_col: str = "dst",
                 i["count_all"].to_numpy(zero_copy_only=False)
                 .astype(np.int64)]), type=pa.int64())})
 
-    return edges.map_batches(partial, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
+    return bound_blocks(edges.map_batches(partial, batch_format="pyarrow")) \
         .groupby("node").aggregate(Sum("__o", alias_name="out_deg"),
                                    Sum("__i", alias_name="in_deg"))
 
@@ -249,7 +246,7 @@ def _edge_rows(t: pa.Table) -> pa.Table:
 
 
 def canonical_edges(edges, a_col: str = "src", b_col: str = "dst",
-                    n_parts: int = 128):
+                    n_parts: int = EDGE_PARTS):
     """Globally-distinct canonical undirected edges ``(u, v)`` with
     ``u < v`` (self-loops dropped, duplicate/reverse edges collapsed):
     per-batch canonicalize + Arrow-distinct shrink, then ONE
@@ -271,17 +268,12 @@ def canonical_edges(edges, a_col: str = "src", b_col: str = "dst",
     def distinct(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["u", "v"])[["u", "v"]]
 
-    # bound the fold's input block count (round-5 pathology: the sort
-    # cost follows INPUT blocks — a 1500-fragment corpus pays
-    # superlinearly without this coalesce)
     return partition_fold(edges.map_batches(canon, batch_format="pyarrow"),
-                          ["u", "v"], distinct, n_parts=n_parts,
-                          shuffle_blocks=n_parts)
+                          ["u", "v"], distinct, n_parts=n_parts)
 
 
 def triangle_count(edges, a_col: str = "src", b_col: str = "dst", *,
-                   broadcast_max: int = 20_000_000,
-                   shuffle_blocks: int = 128):
+                   broadcast_max: int = 20_000_000):
     """Exact triangle count of the UNDIRECTED graph induced by the
     edge Dataset (self-loops dropped, duplicate/reverse edges collapse
     to one) — the clustering-coefficient / community-density staple.
@@ -310,9 +302,8 @@ def triangle_count(edges, a_col: str = "src", b_col: str = "dst", *,
     from prompture_ray.stages.itemsets import pairs_within_sorted_groups
     from prompture_ray.stages.shuffle import partition_fold
 
-    nparts = shuffle_blocks
     ded = canonical_edges(edges, a_col, b_col,
-                          n_parts=nparts).materialize()
+                          n_parts=EDGE_PARTS).materialize()
 
     # total degree per node (partial counts -> one narrow grouped Sum)
     def deg_partial(t: pa.Table) -> pa.Table:
@@ -323,8 +314,8 @@ def triangle_count(edges, a_col: str = "src", b_col: str = "dst", *,
         return pa.table({"node": g["node"],
                          "d": g["count_all"].cast(pa.int64())})
 
-    degs = ded.map_batches(deg_partial, batch_format="pyarrow") \
-        .repartition(min(shuffle_blocks, max(1, ded.num_blocks()))) \
+    degs = bound_blocks(ded.map_batches(deg_partial,
+                                        batch_format="pyarrow")) \
         .groupby("node").aggregate(Sum("d", alias_name="d")) \
         .materialize()
 
@@ -368,7 +359,7 @@ def triangle_count(edges, a_col: str = "src", b_col: str = "dst", *,
 
     wedge_ds = partition_fold(
         ded.map_batches(orient, batch_format="pyarrow"), ["s"], wedges,
-        n_parts=nparts)
+        n_parts=EDGE_PARTS)
 
     def close(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby(["u", "v"], sort=False).agg(
@@ -379,7 +370,7 @@ def triangle_count(edges, a_col: str = "src", b_col: str = "dst", *,
     # wedges and edges share one schema: a one-sided fold on (u, v)
     partials = partition_fold(
         wedge_ds.union(ded.map_batches(_edge_rows, batch_format="pyarrow")),
-        ["u", "v"], close, n_parts=nparts, shuffle_blocks=shuffle_blocks)
+        ["u", "v"], close, n_parts=EDGE_PARTS)
     total = partials.aggregate(Sum("n", alias_name="n_triangles"))
     val = int(total["n_triangles"]) \
         if total and total.get("n_triangles") is not None else 0
@@ -390,7 +381,7 @@ def triangle_count(edges, a_col: str = "src", b_col: str = "dst", *,
 
 def k_core(edges, k: int, a_col: str = "src", b_col: str = "dst", *,
            broadcast_max: int = 20_000_000, max_rounds: int = 100,
-           n_buckets: int = 32, shuffle_blocks: int = 128):
+           n_buckets: int = 32):
     """k-core decomposition — iteratively peel nodes of degree < k
     until the remaining subgraph is stable; returns the surviving
     nodes with their IN-CORE degree as a Dataset ``(node, deg)``
@@ -415,7 +406,7 @@ def k_core(edges, k: int, a_col: str = "src", b_col: str = "dst", *,
         raise ValueError("k_core: k must be >= 1")
 
     ded = canonical_edges(edges, a_col, b_col,
-                          n_parts=shuffle_blocks).materialize()
+                          n_parts=EDGE_PARTS).materialize()
     empty = rd.from_arrow(pa.table({
         "node": pa.array([], type=pa.int64()),
         "deg": pa.array([], type=pa.int64())}))
@@ -431,9 +422,8 @@ def k_core(edges, k: int, a_col: str = "src", b_col: str = "dst", *,
     for _ in range(max_rounds):
         if ded.count() == 0:
             return empty
-        degs = ded.map_batches(deg_partial, batch_format="pyarrow") \
-            .repartition(min(shuffle_blocks,
-                             max(1, ded.num_blocks()))) \
+        degs = bound_blocks(ded.map_batches(deg_partial,
+                                            batch_format="pyarrow")) \
             .groupby("node").aggregate(Sum("d", alias_name="deg")) \
             .materialize()
         alive = degs.filter(expr=f"deg >= {int(k)}").materialize()
@@ -517,12 +507,9 @@ def hits_scores(edges, src_col: str = "src", dst_col: str = "dst",
             "dst": t[dst_col].combine_chunks().cast(pa.int64())})
 
     e = edges.map_batches(proj, batch_format="pyarrow").materialize()
-    m = e.count()
-    eblk = int(max(64, np.ceil(m / 500_000)))
-    if e.num_blocks() > 2 * eblk:
-        # groupby/join cost follows INPUT block count (round-5
-        # pathology) — coalesce the edge table once at birth
-        e = e.repartition(eblk).materialize()
+    # groupby/join cost follows INPUT block count (round-5 pathology):
+    # coalesce the edge table once at birth
+    e = bound_blocks(e).materialize()
 
     def both(t: pa.Table) -> pa.Table:
         ids = np.unique(np.concatenate([
@@ -535,15 +522,9 @@ def hits_scores(edges, src_col: str = "src", dst_col: str = "dst",
         .map_batches(lambda t: t.select(["node"]),
                      batch_format="pyarrow").materialize()
     n = nodes.count()
-    target_blocks = int(max(64, np.ceil(n / 500_000)))
 
     if n <= broadcast_max:
-        return _hits_broadcast(e, nodes, n, int(k), target_blocks)
-
-    def bound_blocks(ds_):
-        if ds_.num_blocks() > 2 * target_blocks:
-            ds_ = ds_.repartition(target_blocks).materialize()
-        return ds_
+        return _hits_broadcast(e, nodes, n, int(k))
 
     def seed(t: pa.Table) -> pa.Table:
         return pa.table({"node": t["node"],
@@ -575,7 +556,7 @@ def hits_scores(edges, src_col: str = "src", dst_col: str = "dst",
 
         return bound_blocks(
             full.map_batches(finish, batch_format="pandas")
-            .materialize())
+            .materialize()).materialize()
 
     for _ in range(int(k)):
         auths = _half(hubs, "hub", "src", "dst", "auth")
@@ -592,7 +573,7 @@ def hits_scores(edges, src_col: str = "src", dst_col: str = "dst",
     return out.map_batches(sel, batch_format="pyarrow")
 
 
-def _hits_broadcast(e, nodes, n: int, k: int, target_blocks: int):
+def _hits_broadcast(e, nodes, n: int, k: int):
     """Broadcast HITS rounds (≤ broadcast_max nodes — guarded by the
     caller): the per-round score vector ships once via ray.put as a
     (sorted nodes, values) pair; each half-round is a zero-join
@@ -645,11 +626,11 @@ def _hits_broadcast(e, nodes, n: int, k: int, target_blocks: int):
     res = pa.table({"node": pa.array(node_arr),
                     "hub": pa.array(hub), "auth": pa.array(auth)})
     return rd.from_arrow(res).repartition(
-        min(target_blocks, max(1, n // 10_000 + 1)))
+        min(target_blocks(n), max(1, n // 10_000 + 1)))
 
 
 def common_neighbors(edges, a_col: str = "src", b_col: str = "dst", *,
-                     min_common: int = 1, shuffle_blocks: int = 128):
+                     min_common: int = 1):
     """Common-neighbor counts per node pair over the UNDIRECTED graph
     — the integer-exact core of link-prediction scores (Adamic-Adar /
     Jaccard similarity divide this by degree terms; the COUNT itself
@@ -667,9 +648,8 @@ def common_neighbors(edges, a_col: str = "src", b_col: str = "dst", *,
     from prompture_ray.stages.itemsets import pairs_within_sorted_groups
     from prompture_ray.stages.shuffle import partition_fold
 
-    nparts = shuffle_blocks
     ded = canonical_edges(edges, a_col, b_col,
-                          n_parts=nparts).materialize()
+                          n_parts=EDGE_PARTS).materialize()
 
     def sym(t: pa.Table) -> pa.Table:
         u = t["u"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -696,7 +676,7 @@ def common_neighbors(edges, a_col: str = "src", b_col: str = "dst", *,
 
     wedge_ds = partition_fold(
         ded.map_batches(sym, batch_format="pyarrow"), ["c"], wedges,
-        n_parts=nparts)
+        n_parts=EDGE_PARTS)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby(["u", "v"], sort=False).agg(
@@ -708,7 +688,7 @@ def common_neighbors(edges, a_col: str = "src", b_col: str = "dst", *,
 
     return partition_fold(
         wedge_ds.union(ded.map_batches(_edge_rows, batch_format="pyarrow")),
-        ["u", "v"], fold, n_parts=nparts, shuffle_blocks=shuffle_blocks)
+        ["u", "v"], fold, n_parts=EDGE_PARTS)
 
 
 def negative_edges(edges, k: int, a_col: str = "src",

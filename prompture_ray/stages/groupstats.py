@@ -35,13 +35,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from prompture_ray.stages.shuffle import lookup, partition_fold
+from prompture_ray.stages.shuffle import bound_blocks, lookup, partition_fold
 
 
 def group_prior(ds, key_col: str, val_col: str,
                 pseudo_count: int = 10, pseudo_sum: int = 0,
-                n_buckets: int = 32, broadcast_max: int = 20_000_000,
-                shuffle_blocks: int = 128):
+                n_buckets: int = 32, broadcast_max: int = 20_000_000):
     """Append per-group smoothed-prior columns to every row:
     ``n_grp`` / ``sum_grp`` (exact int64 group count / sum of
     ``val_col``), ``prior`` (one exact-int division, see module
@@ -59,12 +58,9 @@ def group_prior(ds, key_col: str, val_col: str,
 
     # Ray groupby sort cost follows the INPUT block count (round-5
     # pathology: a 1500-fragment corpus made this "tiny" grouped Sum
-    # 53x superlinear at 10x rows) — coalesce the narrow partial rows
-    # to a bounded count first. 128 blocks hold billions of 24-byte
-    # partial rows comfortably; raise shuffle_blocks beyond ~100M
-    # distinct keys.
-    grouped = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
+    # 53x superlinear at 10x rows) — bound the narrow partial rows'
+    # block count first.
+    grouped = bound_blocks(ds.map_batches(partial, batch_format="pyarrow")) \
         .groupby(key_col).aggregate(
             Sum("__s", alias_name="sum_grp"),
             Sum("__n", alias_name="n_grp")).materialize()
@@ -92,18 +88,16 @@ def group_prior(ds, key_col: str, val_col: str,
 
 
 def exact_nunique(ds, key_col: str, val_col: str,
-                  out_col: str = "n_distinct",
-                  shuffle_blocks: int = 128):
+                  out_col: str = "n_distinct"):
     """Exact distinct ``val_col`` count per ``key_col`` value, as a
     Dataset ``(key_col, out_col)``. Batches are pre-deduped before the
     single wide shuffle; the second shuffle carries only per-block
     per-key partial counts (keys × blocks rows).
 
-    ``shuffle_blocks`` bounds the wide shuffle's input block count
+    ``shuffle.bound_blocks`` bounds the wide shuffle's input block count
     (round-5 pathology: groupby sort cost follows input blocks — a
     1500-fragment corpus measured 44x superlinear at 10x rows before
-    this coalesce, 9M→29s after). Size ≈ distinct pairs / 500k when
-    the pair count runs into the billions."""
+    this coalesce, 9M→29s after)."""
     from ray.data.aggregate import Count, Sum
 
     def distinct_pairs(t: pa.Table) -> pa.Table:
@@ -111,8 +105,8 @@ def exact_nunique(ds, key_col: str, val_col: str,
             [key_col, val_col]).aggregate([])
         return g
 
-    pairs = ds.map_batches(distinct_pairs, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
+    pairs = bound_blocks(ds.map_batches(distinct_pairs,
+                                        batch_format="pyarrow")) \
         .groupby([key_col, val_col]).aggregate(Count(alias_name="__c"))
 
     def per_key_partial(t: pa.Table) -> pa.Table:
@@ -126,7 +120,7 @@ def exact_nunique(ds, key_col: str, val_col: str,
 
 
 def grouped_outliers(ds, key_col: str, val_col: str, k: int = 3,
-                     n_parts: int = 64, shuffle_blocks: int = 128):
+                     n_parts: int = 64):
     """Robust per-group outlier flags via median / MAD (the
     data-quality staple that survives the skew a mean/stddev z-score
     drowns in). Appends to every row:
@@ -145,9 +139,7 @@ def grouped_outliers(ds, key_col: str, val_col: str, k: int = 3,
     partition), then one vectorized numpy pass per fold frame: lexsort
     by (key, val) -> middle order statistics per group via offset
     arithmetic, second lexsort by (key, d) for the MAD
-    — never a frame per key, no driver state. ``shuffle_blocks`` bounds
-    the groupby's input block count (round-5 pathology: groupby sort
-    cost follows INPUT blocks); size ≈ rows / 500k beyond ~64M rows."""
+    — never a frame per key, no driver state."""
 
     k = int(k)
 
@@ -192,12 +184,10 @@ def grouped_outliers(ds, key_col: str, val_col: str, k: int = 3,
             .append_column("is_outlier", pa.array(flag, type=pa.bool_()))
 
     return partition_fold(ds, [key_col], flag_part, n_parts=n_parts,
-                          shuffle_blocks=shuffle_blocks,
                           batch_format="pyarrow")
 
 
-def group_diversity(ds, key_col: str, val_col: str,
-                    shuffle_blocks: int = 128):
+def group_diversity(ds, key_col: str, val_col: str):
     """Simpson/Gini diversity per key: ``(key, n, n_distinct, s2,
     gini)`` where ``s2 = Σ c_v²`` over the per-key value counts and
     ``gini = (n² − s2) / n²`` — the probability two rows of the key
@@ -220,8 +210,8 @@ def group_diversity(ds, key_col: str, val_col: str,
         return pa.table({key_col: g[key_col], val_col: g[val_col],
                          "__c": g["count_all"].cast(pa.int64())})
 
-    counts = ds.map_batches(pair_partial, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
+    counts = bound_blocks(ds.map_batches(pair_partial,
+                                         batch_format="pyarrow")) \
         .groupby([key_col, val_col]).aggregate(Sum("__c",
                                                alias_name="__c"))
 
@@ -258,8 +248,7 @@ def group_diversity(ds, key_col: str, val_col: str,
 
 
 def grouped_quantiles(ds, key_col: str, val_col: str,
-                      qs=(0.25, 0.5, 0.75), n_parts: int = 64,
-                      shuffle_blocks: int = 128):
+                      qs=(0.25, 0.5, 0.75), n_parts: int = 64):
     """EXACT discrete quantiles per key (``quantile_disc`` semantics:
     the value at 1-based rank ``ceil(q·n)`` of the key's sorted
     values) — per-domain length caps / winsorization bounds. Returns
@@ -310,14 +299,12 @@ def grouped_quantiles(ds, key_col: str, val_col: str,
         return pd.DataFrame(out)
 
     return partition_fold(ds.map_batches(project, batch_format="pyarrow"),
-                          [key_col], fold, n_parts=n_parts,
-                          shuffle_blocks=shuffle_blocks)
+                          [key_col], fold, n_parts=n_parts)
 
 
 def winsorize_by_key(ds, key_col: str, val_col: str,
                      lo_q: float = 0.05, hi_q: float = 0.95,
                      out_col: str | None = None, n_parts: int = 64,
-                     shuffle_blocks: int = 128,
                      broadcast_max: int = 20_000_000):
     """Clamp ``val_col`` to its key's exact [ceil(lo_q·n), ceil(hi_q·n)]
     discrete quantile bounds (grouped_quantiles) — per-domain outlier
@@ -335,8 +322,7 @@ def winsorize_by_key(ds, key_col: str, val_col: str,
     lo_name = f"q_{int(round(lo_q * 100))}"
     hi_name = f"q_{int(round(hi_q * 100))}"
     bounds = grouped_quantiles(ds, key_col, val_col,
-                               qs=(lo_q, hi_q), n_parts=n_parts,
-                               shuffle_blocks=shuffle_blocks) \
+                               qs=(lo_q, hi_q), n_parts=n_parts) \
         .materialize()
 
     def clamp(t: pa.Table) -> pa.Table:
@@ -354,8 +340,7 @@ def winsorize_by_key(ds, key_col: str, val_col: str,
 
 def grouped_weighted_quantiles(ds, key_col: str, val_col: str,
                                weight_col: str, qs=(0.5,),
-                               n_parts: int = 64,
-                               shuffle_blocks: int = 128):
+                               n_parts: int = 64):
     """EXACT weighted discrete quantiles per key: the smallest value v
     of the key whose cumulative weight (in ascending value order,
     ties folded together) satisfies ``cumw·den ≥ num·W`` for
@@ -388,8 +373,8 @@ def grouped_weighted_quantiles(ds, key_col: str, val_col: str,
         return pa.table({key_col: g[key_col], val_col: g[val_col],
                          "__w": g["__w_sum"].cast(pa.int64())})
 
-    pairs = ds.map_batches(pair_partial, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
+    pairs = bound_blocks(ds.map_batches(pair_partial,
+                                        batch_format="pyarrow")) \
         .groupby([key_col, val_col]).aggregate(Sum("__w",
                                                alias_name="__w"))
 

@@ -103,8 +103,7 @@ def frequent_pairs(ds, basket_col: str, item_col: str, *,
 
     partials = partition_fold(
         ds.map_batches(distinct, batch_format="pyarrow"),
-        [basket_col], mine, n_parts=nparts,
-        shuffle_blocks=min(128, nparts))
+        [basket_col], mine, n_parts=nparts)
     folded = partials.groupby(["item_a", "item_b"]) \
         .aggregate(Sum("support", alias_name="support"))
 

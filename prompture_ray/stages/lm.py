@@ -381,8 +381,7 @@ def top_collocations(ds, text_col: str = "text", k: int = 20,
 
 
 def skipgram_counts(ds, text_col: str = "text", window: int = 4,
-                    min_count: int = 1, normalize: bool = False,
-                    shuffle_blocks: int = 128):
+                    min_count: int = 1, normalize: bool = False):
     """Ordered skip-gram co-occurrence counts ``(w1, w2, cnt)`` —
     every within-doc token pair at distance 1..``window`` (the
     word2vec-window corpus statistic; collocations' adjacent bigram is
@@ -397,6 +396,7 @@ def skipgram_counts(ds, text_col: str = "text", window: int = 4,
     partials; the grouped Sum is bounded by the pair lexicon (Heaps ×
     window). min_count filters AFTER the fold, distributed."""
     from ray.data.aggregate import Sum
+    from prompture_ray.stages.shuffle import bound_blocks
 
     def partial(t: pa.Table) -> pa.Table:
         t, lens, flat = _flat_tokens(t, text_col, normalize)
@@ -424,8 +424,7 @@ def skipgram_counts(ds, text_col: str = "text", window: int = 4,
                          "w2": pa.array(w2, type=pa.string()),
                          "cnt": pa.array(c)})
 
-    folded = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
+    folded = bound_blocks(ds.map_batches(partial, batch_format="pyarrow")) \
         .groupby(["w1", "w2"]).aggregate(Sum("cnt", alias_name="cnt"))
     if min_count <= 1:
         return folded

@@ -30,12 +30,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def grouped_ols(ds, key_col: str, x_col: str, y_col: str,
-                shuffle_blocks: int = 128):
+def grouped_ols(ds, key_col: str, x_col: str, y_col: str):
     """Dataset ``(key, n, sx, sy, sxy, sxx, slope, intercept)`` — the
     per-key least-squares line through the integer points. See module
     docstring for the exactness contract."""
     from ray.data.aggregate import Sum
+    from prompture_ray.stages.shuffle import bound_blocks
 
     def partial(t: pa.Table) -> pa.Table:
         x = t[x_col].combine_chunks().cast(pa.int64())
@@ -53,8 +53,7 @@ def grouped_ols(ds, key_col: str, x_col: str, y_col: str,
             c: g[f"__{c}_sum"].cast(pa.int64())
             for c in ("n", "sx", "sy", "sxy", "sxx")})
 
-    folded = ds.map_batches(partial, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
+    folded = bound_blocks(ds.map_batches(partial, batch_format="pyarrow")) \
         .groupby(key_col).aggregate(
             *[Sum(c, alias_name=c)
               for c in ("n", "sx", "sy", "sxy", "sxx")])

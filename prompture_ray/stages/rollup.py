@@ -64,8 +64,7 @@ def rollup_aggregate(ds, dims: list[str], value_col: str):
 
 
 def pivot_counts(ds, key_col: str, cat_col: str, categories: list[str],
-                 value_col: str | None = None, prefix: str = "n_",
-                 shuffle_blocks: int = 128):
+                 value_col: str | None = None, prefix: str = "n_"):
     """Long -> wide pivot: one output row per ``key_col`` value with an
     int64 column ``{prefix}{cat}`` per category holding the row count
     (or the exact int64 sum of ``value_col``) of that (key, category)
@@ -78,11 +77,12 @@ def pivot_counts(ds, key_col: str, cat_col: str, categories: list[str],
 
     Scale shape: per-batch pandas partial (one row per key per batch,
     all category columns at once — the rollup sentinel discipline),
-    coalesced to ``shuffle_blocks`` blocks (round-5 pathology: groupby
-    sort cost follows input block count), then ONE grouped Sum over the
-    narrow partial rows. Rows never shuffle; the wide table never
+    bounded by ``shuffle.bound_blocks`` (groupby sort cost follows
+    input block count), then ONE grouped Sum over the narrow partial
+    rows. Rows never shuffle; the wide table never
     materializes on the driver."""
     from ray.data.aggregate import Sum
+    from prompture_ray.stages.shuffle import bound_blocks
 
     categories = list(categories)
     names = [f"{prefix}{c}" for c in categories]
@@ -100,8 +100,7 @@ def pivot_counts(ds, key_col: str, cat_col: str, categories: list[str],
             g[name] = g[name].astype("int64")
         return g
 
-    return ds.map_batches(partial, batch_format="pandas") \
-        .repartition(shuffle_blocks) \
+    return bound_blocks(ds.map_batches(partial, batch_format="pandas")) \
         .groupby(key_col).aggregate(
             *[Sum(name, alias_name=name) for name in names])
 

@@ -418,15 +418,8 @@ def assign_shards(ds, id_col: str, n_shards: int,
         g["pos"] = (offs[i] + local).astype(np.int64)
         return g.drop(columns=["__h", "__cell"])
 
-    # the sort cost follows the INPUT block count (round-5 fact: a
-    # 1500-block input made this shuffle 38× slower at 10× rows) —
-    # coalesce to a bounded count before the fold. n_rows comes free
-    # from the cell table.
-    n_rows = int(c.sum())
-    n_blocks = max(n_parts, min(1024, n_rows // 500_000 + 1))
     return partition_fold(ds.map_batches(add_cells, batch_format="pyarrow"),
-                          ["__cell"], rank_part, n_parts=n_parts,
-                          shuffle_blocks=n_blocks)
+                          ["__cell"], rank_part, n_parts=n_parts)
 
 
 def priority_sample_k(ds, id_col: str, weight_col: str, group_col: str,

@@ -46,7 +46,8 @@ import pyarrow.compute as pc
 
 from prompture_ray.functions.sketches import hash64
 from prompture_ray.stages.itemsets import pairs_within_sorted_groups
-from prompture_ray.stages.shuffle import partition_fold
+from prompture_ray.stages.shuffle import (bound_blocks, partition_fold,
+                                          target_blocks)
 
 _EMPTY_PAIRS = pd.DataFrame({
     "a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"),
@@ -114,10 +115,11 @@ def _collect(ds, cols: list) -> pa.Table:
     return pa.concat_tables(blocks, promote_options="default")
 
 
-def _postings(ds, id_col: str, text_col: str, rows_per_part: int):
+def _postings(ds, id_col: str, text_col: str):
     """Distinct ``(id, tok, th, n)`` postings (``n`` = the row's set
-    size), materialized with a bounded block count, and the partition
-    count of every fold (~``rows_per_part`` postings each, floor 64).
+    size), materialized with a bounded block count
+    (``shuffle.bound_blocks``), and the partition count of every fold
+    (``shuffle.target_blocks`` of the posting count).
 
     Tokens are hashed to int64 ONCE here ("th"): every downstream
     order, lookup and partition works on ints (object-string
@@ -138,14 +140,11 @@ def _postings(ds, id_col: str, text_col: str, rows_per_part: int):
             "th": pa.array(th),
             "n": pa.array(n)})
 
-    posts = ds.map_batches(postings, batch_format="pyarrow") \
-        .materialize()
     # bound the block count ONCE before the folds: the sort cost follows
-    # the INPUT block count (the canonical_edges at-birth coalesce)
-    n_parts = int(max(64, np.ceil(posts.count() / rows_per_part)))
-    if posts.num_blocks() > 2 * n_parts:
-        posts = posts.repartition(n_parts).materialize()
-    return posts, n_parts
+    # the INPUT block count
+    posts = bound_blocks(ds.map_batches(postings, batch_format="pyarrow")
+                         .materialize()).materialize()
+    return posts, target_blocks(posts.count())
 
 
 def _df_lexicon(posts, broadcast_max: int):
@@ -278,8 +277,7 @@ def _intersections(posts, cids: np.ndarray, keys: np.ndarray,
 def set_similarity_join(ds, id_col: str, text_col: str,
                         threshold: float | Fraction, *,
                         broadcast_max: int = 20_000_000,
-                        candidate_max: int = 5_000_000,
-                        rows_per_part: int = 500_000):
+                        candidate_max: int = 5_000_000):
     """All pairs (a < b) of rows whose whitespace token SETS have
     Jaccard ≥ ``threshold``; returns columns (a, b, inter, size_a,
     size_b, jaccard). ``threshold`` is taken as an exact rational
@@ -290,7 +288,7 @@ def set_similarity_join(ds, id_col: str, text_col: str,
     < 2^31 (the packed pair-key filter; ids beyond that → pre-map ids,
     as dedup's namespacing queries do)."""
     num, den = _rate(threshold, "set_similarity_join")
-    posts, n_parts = _postings(ds, id_col, text_col, rows_per_part)
+    posts, n_parts = _postings(ds, id_col, text_col)
     lex_ref = _df_lexicon(posts, broadcast_max)
 
     def prefix(t: pa.Table) -> pa.Table:
@@ -380,8 +378,7 @@ def _cross_within_runs(p_pos: np.ndarray, p_run: np.ndarray,
 def containment_join(ds, id_col: str, text_col: str,
                      threshold: float | Fraction, *,
                      broadcast_max: int = 20_000_000,
-                     candidate_max: int = 5_000_000,
-                     rows_per_part: int = 500_000):
+                     candidate_max: int = 5_000_000):
     """DIRECTIONAL set-containment join: all ordered pairs (a, b),
     a ≠ b, with ``|A∩B| ≥ τ·|A|`` (A's token set τ-contained in B) —
     the asymmetric PPJoin variant behind "is this doc's content
@@ -398,7 +395,7 @@ def containment_join(ds, id_col: str, text_col: str,
     :func:`set_similarity_join` (distinct ids in [0, 2^31));
     ``candidate_max`` guards the broadcast arrays."""
     num, den = _rate(threshold, "containment_join")
-    posts, n_parts = _postings(ds, id_col, text_col, rows_per_part)
+    posts, n_parts = _postings(ds, id_col, text_col)
     lex_ref = _df_lexicon(posts, broadcast_max)
 
     # role-tagged postings: every posting is F (full side); the

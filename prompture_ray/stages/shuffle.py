@@ -57,6 +57,16 @@ Partition-id rule (a result must not depend on block layout):
 - Multi-column keys mix the per-column hashes with the golden-ratio
   combine ``(h * 0x9E3779B97F4A7C15) ^ h_next``.
 
+Block-count rule (``bound_blocks``, the one place a pre-sort block
+count is decided): Ray's sort, groupby and join costs follow the INPUT
+block count (a 1500-fragment 9M-row input measured 128x superlinear
+before a coalesce). An input with more than twice
+``target_blocks(rows) = max(64, ceil(rows / 500k))`` blocks is coalesced
+to that many; any other input is left as it is, so a two-block table is
+never split into a hundred tiny blocks before a sort. Every fold runs
+its tagged input through it (``_fold_partitions``), and the Ray
+groupbys and per-round tables of ``stages/`` call it directly.
+
 Lookup rule (``lookup``): a row matches the table row whose key equals
 its own: the probe finds the candidate by key hash (``key_hash``, the
 rule above without the modulo), then compares the key values under the
@@ -163,6 +173,36 @@ def partition_ids(table: pa.Table, cols: list, n_parts: int) -> pa.Array:
 
 
 TARGET_ROWS_PER_PART = 5_000_000
+# the block-count rule: at least BLOCK_FLOOR blocks of ROWS_PER_BLOCK rows
+BLOCK_FLOOR = 64
+ROWS_PER_BLOCK = 500_000
+
+
+def target_blocks(rows: int | None) -> int:
+    """Block (or partition) count for ``rows`` rows under the module's
+    block-count rule: ``max(64, ceil(rows / 500k))``; unknown rows
+    (None) give the floor."""
+    return max(BLOCK_FLOOR, -(-(rows or 0) // ROWS_PER_BLOCK))
+
+
+def bound_blocks(ds):
+    """``ds`` coalesced to ``target_blocks(rows)`` blocks when it holds
+    more than twice that many, else ``ds`` itself (the module's
+    block-count rule). Never executes ``ds``.
+
+    The block and row counts come from Ray's plan:
+    ``ds._plan.initial_num_blocks()`` and ``ds._plan.meta_count()``.
+    For a materialized Dataset they are its ``num_blocks()`` and
+    ``count()``; for a lazy one they are estimates that cost no
+    execution (a mapped input has no row estimate, so the floor of 64
+    applies). Both are private Ray 2.49 methods, and this is the only
+    place that reads them."""
+    plan = ds._plan
+    n_blocks = plan.initial_num_blocks()
+    target = target_blocks(plan.meta_count())
+    if n_blocks is None or n_blocks <= 2 * target:
+        return ds
+    return ds.repartition(target)
 
 
 def auto_n_parts(ds, target: int = TARGET_ROWS_PER_PART) -> int:
@@ -176,7 +216,6 @@ def auto_n_parts(ds, target: int = TARGET_ROWS_PER_PART) -> int:
 
 
 def partition_fold(ds, cols: list, fn, *, n_parts: int,
-                   shuffle_blocks: int | None = None,
                    batch_format: str = "pandas"):
     """Hash-partition ``ds`` on ``cols`` and run ``fn`` over whole
     partitions. ``fn`` receives a frame (``batch_format``) without the
@@ -186,11 +225,8 @@ def partition_fold(ds, cols: list, fn, *, n_parts: int,
     always comes alone. ``fn`` must handle every key of its frame in
     one vectorized pass.
 
-    ``shuffle_blocks`` coalesces the tagged rows to that many blocks
-    before the sort: Ray's sort cost follows the INPUT block count (a
-    1500-fragment 9M-row run measured 128x superlinear without it);
-    size it ≈ rows / 500k beyond ~64M rows. ``None`` keeps the input's
-    blocks.
+    The tagged rows go through ``bound_blocks`` before the sort, so a
+    many-fragment input is coalesced and a small one keeps its blocks.
 
     A pandas ``fn``'s frame comes back as an Arrow block whose integer
     input columns keep their input types (``_unwiden``), so a null key
@@ -200,11 +236,13 @@ def partition_fold(ds, cols: list, fn, *, n_parts: int,
     cols = list(cols)
 
     def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("__pb", partition_ids(t, cols, n_parts))
+        # a block Ray converted from pandas carries b"pandas" schema
+        # metadata, which makes its schema unhashable and sends the
+        # sort's schema unification down Ray's slow path
+        return t.append_column("__pb", partition_ids(t, cols, n_parts)) \
+            .replace_schema_metadata(None)
 
     tagged = ds.map_batches(tag, batch_format="pyarrow")
-    if shuffle_blocks is not None:
-        tagged = tagged.repartition(shuffle_blocks)
 
     def run(g: pa.Table):
         # drop the id in Arrow (zero-copy), not after a pandas conversion
@@ -222,10 +260,10 @@ def partition_fold(ds, cols: list, fn, *, n_parts: int,
 
 def _fold_partitions(tagged, run, n_parts: int):
     """Run ``run`` over the ``__pb``-tagged rows of ``tagged``, whole
-    partitions at a time: one sort on the id, then one call per run of
-    contiguous partitions in each sorted block (``_runs``). Ray's
-    ``groupby().map_groups`` would call it once per partition id in
-    every block, a pandas/Arrow round trip each."""
+    partitions at a time: ``bound_blocks``, one sort on the id, then
+    one call per run of contiguous partitions in each sorted block
+    (``_runs``). Ray's ``groupby().map_groups`` would call it once per
+    partition id in every block, a pandas/Arrow round trip each."""
     cap = TARGET_ROWS_PER_PART
 
     def run_block(b: pa.Table):
@@ -234,8 +272,8 @@ def _fold_partitions(tagged, run, n_parts: int):
         for lo, hi in _runs(pb, n_parts, cap):
             yield run(b.slice(lo, hi - lo))
 
-    return tagged.sort("__pb").map_batches(run_block, batch_size=None,
-                                           batch_format="pyarrow")
+    return bound_blocks(tagged).sort("__pb").map_batches(
+        run_block, batch_size=None, batch_format="pyarrow")
 
 
 def _runs(pb: np.ndarray, n_parts: int, cap: int) -> list:

@@ -292,7 +292,7 @@ def vocab_coverage(ds, text_col: str = "text", id_col: str = "doc_id",
 
 
 def vocab_jaccard(ds, group_col: str, text_col: str = "text",
-                  n_parts: int = 64, shuffle_blocks: int = 128):
+                  n_parts: int = 64):
     """Pairwise vocabulary Jaccard overlap between groups — "how much
     do the corpora of two languages / domains share a lexicon", the
     corpus-similarity audit behind domain-mixing decisions. Returns
@@ -366,7 +366,7 @@ def vocab_jaccard(ds, group_col: str, text_col: str = "text",
 
     folded = partition_fold(
         ds.map_batches(pairs_partial, batch_format="pyarrow"), ["th"],
-        per_token, n_parts=n_parts, shuffle_blocks=shuffle_blocks) \
+        per_token, n_parts=n_parts) \
         .groupby(["ga", "gb"]).aggregate(Sum("c", alias_name="c")) \
         .to_pandas()          # bounded by groups² rows — the contract
 
@@ -388,8 +388,7 @@ def vocab_jaccard(ds, group_col: str, text_col: str = "text",
 
 
 def distinctive_terms(ds, group_col: str, text_col: str = "text",
-                      k: int = 10, broadcast_max: int = 20_000_000,
-                      shuffle_blocks: int = 128):
+                      k: int = 10, broadcast_max: int = 20_000_000):
     """Top-k distinctive terms per group by LIFT —
     ``lift(t, g) = P(t|g) / P(t) = (c_tg · N) / (n_g · c_t)`` over raw
     token occurrence counts — the per-language / per-domain vocabulary
@@ -411,7 +410,7 @@ def distinctive_terms(ds, group_col: str, text_col: str = "text",
     import pandas as pd
     from ray.data.aggregate import Sum
     from prompture_ray.stages.analytic import top_k_per_group
-    from prompture_ray.stages.shuffle import lookup
+    from prompture_ray.stages.shuffle import bound_blocks, lookup
     from prompture_ray.functions import limit_arrow_threads
 
     def count_partial(t: pa.Table) -> pa.Table:
@@ -440,8 +439,8 @@ def distinctive_terms(ds, group_col: str, text_col: str = "text",
                          "c": pa.array(df["c"].to_numpy()
                                        .astype(np.int64))})
 
-    counts = ds.map_batches(count_partial, batch_format="pyarrow") \
-        .repartition(shuffle_blocks) \
+    counts = bound_blocks(ds.map_batches(count_partial,
+                                         batch_format="pyarrow")) \
         .groupby(["g", "term"]).aggregate(Sum("c", alias_name="c")) \
         .materialize()
 

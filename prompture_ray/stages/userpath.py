@@ -142,8 +142,7 @@ def retention_cohorts(ds, user_col: str, ts_col: str,
 
 
 def transition_counts(ds, user_col: str, ts_col: str, tie_col: str,
-                      type_col: str, n_parts: int = 64,
-                      shuffle_blocks: int = 128):
+                      type_col: str, n_parts: int = 64):
     """First-order Markov transition table over per-user event
     sequences: one row per (from_type, to_type) ordered-adjacent pair
     (by ``ts_col``, ``tie_col`` within a user) with ``cnt`` and
@@ -167,8 +166,7 @@ def transition_counts(ds, user_col: str, ts_col: str, tie_col: str,
     from prompture_ray.stages.analytic import lag_shift
 
     lead = lag_shift(ds, user_col, ts_col, tie_col, [type_col],
-                     shifts=(-1,), n_parts=n_parts,
-                     shuffle_blocks=shuffle_blocks)
+                     shifts=(-1,), n_parts=n_parts)
 
     def pairs(t: pa.Table) -> pa.Table:
         nxt = t[f"{type_col}_lead1"]

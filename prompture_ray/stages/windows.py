@@ -157,13 +157,9 @@ def running_aggregate_bucketed(ds, key_col: str, ts_col: str,
     Ties within (key, ts) accumulate in input order inside a bucket like
     the plain form (equality pinned by test; the oracle is a SQL window
     cumsum). Passthrough columns keep their Arrow types. Null-key rows
-    are dropped: they have no cell to look an offset up for.
-
-    Block-count hazard (round-5): the phase-1 groupby (and a bucketed
-    lookup) inherits the INPUT's block count — a 1500-block input made
-    a 9M-row run >20x slower than a 128-block one. Coalesce
-    many-fragment inputs first (``repartition(max(64, rows/500k))`` —
-    see ``analytic.global_row_number``)."""
+    are dropped: they have no cell to look an offset up for. Every fold
+    coalesces a many-fragment input before its sort
+    (``shuffle.bound_blocks``)."""
     cell = [key_col, "__bucket"]
     tagged = ds.map_batches(_cell_tagger(key_col, ts_col, bucket, True),
                             batch_format="pyarrow")

@@ -166,6 +166,63 @@ def test_fold_call_stays_under_the_row_cap(ray_session, monkeypatch,
     assert seen["call"].nunique() > 1 + n_blocks
 
 
+def test_fold_strips_pandas_metadata_before_its_sort(ray_session):
+    """Blocks Ray converted from pandas carry ``b"pandas"`` schema
+    metadata; the fold's tagged rows drop it, so the sort's schema
+    unification can hash the schemas and ``fn`` never sees it."""
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import partition_fold
+    df = pd.DataFrame({"k": pd.array([1, 2, None, 1, 3, 2], dtype="Int64"),
+                       "v": range(6)})
+    out = partition_fold(
+        rd.from_pandas([df.iloc[:3], df.iloc[3:]]), ["k"],
+        lambda g: pa.table({"bare": [g.schema.metadata is None]}),
+        n_parts=4, batch_format="pyarrow")
+    bare = out.to_pandas()["bare"].tolist()
+    assert bare and all(bare)
+
+
+# ---------------------------------------------------------------------------
+# the block-count rule
+# ---------------------------------------------------------------------------
+def test_bound_blocks_keeps_a_small_mapped_read(ray_session, tmp_path):
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import bound_blocks
+    for j in range(2):
+        pq.write_table(pa.table({"x": np.arange(j * 10, j * 10 + 10)}),
+                       tmp_path / f"part-{j}.parquet")
+    ds = rd.read_parquet(str(tmp_path)).map_batches(
+        lambda t: t, batch_format="pyarrow")
+    assert bound_blocks(ds) is ds
+
+
+def test_bound_blocks_coalesces_a_materialized_dataset(ray_session):
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import bound_blocks
+    ds = rd.range(3000, override_num_blocks=300).materialize()
+    assert ds.num_blocks() == 300
+    out = bound_blocks(ds).materialize()
+    assert out.num_blocks() == 64
+    assert out.sum("id") == sum(range(3000))
+
+
+def test_bound_blocks_never_executes_a_lazy_input(ray_session):
+    """A mapped input has no row estimate: the floor of 64 applies, and
+    neither the input nor the result is computed."""
+    import ray.data as rd
+    from prompture_ray.stages.shuffle import bound_blocks
+    ds = rd.range(3000, override_num_blocks=300).map_batches(
+        lambda t: t, batch_format="pyarrow")
+    out = bound_blocks(ds)
+    assert out is not ds
+    assert not ds._plan.has_computed_output()
+    assert not out._plan.has_computed_output()
+    out = out.materialize()
+    assert out.num_blocks() == 64
+    assert out.sum("id") == sum(range(3000))
+
+
 # ---------------------------------------------------------------------------
 # aggregate
 # ---------------------------------------------------------------------------
@@ -768,9 +825,24 @@ def _edges() -> pa.Table:
                      "object_id": pa.array(b + base, pa.int64())})
 
 
+def _keyed_rows() -> pa.Table:
+    """40 rows over five int64 keys and a null key, with int64 payloads
+    above 2^61 (beyond float64's exact range); ``w`` holds nulls."""
+    i = np.arange(40)
+    big = 2**61
+    return pa.table({
+        "k": pa.array([None if j % 9 == 4 else j % 5 for j in i.tolist()],
+                      pa.int64()),
+        "t": pa.array((i * 7 % 40) * HOUR, pa.int64()),
+        "tie": pa.array(i, pa.int64()),
+        "p": pa.array(big + i, pa.int64()),
+        "w": pa.array([None if j % 3 else big + j for j in i.tolist()],
+                      pa.int64())})
+
+
 def _stage_ops():
-    from prompture_ray.stages import (dedup, entity_store, graph, sampling,
-                                      setjoin, tfidf)
+    from prompture_ray.stages import (analytic, dedup, entity_store, graph,
+                                      sampling, setjoin, tfidf)
     seeds = [2**61 + 1, 2**61 + 2]
     return {
         "set_similarity_join": (_docs, lambda ds: setjoin.set_similarity_join(
@@ -779,12 +851,10 @@ def _stage_ops():
             ds, "doc_id", "text", 0.7)),
         "canonical_edges": (_edges, lambda ds: graph.canonical_edges(
             ds, n_parts=8)),
-        "triangle_count": (_edges, lambda ds: graph.triangle_count(
-            ds, shuffle_blocks=8)),
-        "common_neighbors": (_edges, lambda ds: graph.common_neighbors(
-            ds, shuffle_blocks=8)),
+        "triangle_count": (_edges, lambda ds: graph.triangle_count(ds)),
+        "common_neighbors": (_edges, lambda ds: graph.common_neighbors(ds)),
         "vocab_jaccard": (_docs, lambda ds: tfidf.vocab_jaccard(
-            ds, "grp", n_parts=8, shuffle_blocks=8)),
+            ds, "grp", n_parts=8)),
         "tfidf_topk_terms": (_docs, lambda ds: tfidf.tfidf_topk_terms(
             ds, broadcast_max=0, n_buckets=4)),
         "line_dedup": (_docs, lambda ds: dedup.line_dedup(
@@ -797,15 +867,31 @@ def _stage_ops():
         "k_hop_neighbors": (_edges, lambda ds: entity_store.k_hop_neighbors(
             ds.select_columns(["subject_id", "object_id"]), seeds, k=3,
             broadcast_max=0, n_parts=8, as_dataset=True)),
+        # Arrow folds whose function returns a pandas frame
+        "forward_fill": (_keyed_rows, lambda ds: analytic.forward_fill(
+            ds, "k", "t", "tie", ["w"], n_parts=8)),
+        "lag_shift": (_keyed_rows, lambda ds: analytic.lag_shift(
+            ds, "k", "t", "tie", ["p", "w"], shifts=(1, -2), n_parts=8)),
+        "suppress_bursts": (_keyed_rows, lambda ds: analytic.suppress_bursts(
+            ds, "k", "t", "tie", min_gap=3 * HOUR, n_parts=8)),
     }
+
+
+# ops whose blocks stay pandas frames, so that ``Dataset.to_pandas()``
+# keeps a nullable int64 above 2^53 exact (as nullable Int64); an Arrow
+# block without pandas metadata would come back float64. The next fold
+# strips the metadata before its sort
+# (``test_fold_strips_pandas_metadata_before_its_sort``).
+_PANDAS_BLOCK_OPS = {"forward_fill", "lag_shift", "suppress_bursts"}
 
 
 @pytest.mark.parametrize("op", sorted(_stage_ops()))
 def test_stage_fold_is_layout_independent(ray_session, op):
     """The same rows as one block and as seven give the same sorted
-    result, and every output block's schema hashes (no block carries
-    pandas schema metadata, which would send Ray's schema unification
-    down its slow path)."""
+    result, ints compared exactly, and every output block's schema
+    hashes outside ``_PANDAS_BLOCK_OPS`` (no block carries pandas schema
+    metadata, which would send Ray's schema unification down its slow
+    path)."""
     import ray
     import ray.data as rd
     data, fn = _stage_ops()[op]
@@ -814,8 +900,11 @@ def test_stage_fold_is_layout_independent(ray_session, op):
     for blocks in ([t], _split(t, 7)):
         out = fn(rd.from_arrow(blocks))
         parts = [ray.get(r) for r in out.to_arrow_refs()]
-        assert len({b.schema for b in parts}) >= 1
-        df = pa.concat_tables(parts, promote_options="default").to_pandas()
+        if op not in _PANDAS_BLOCK_OPS:
+            assert len({b.schema for b in parts}) >= 1
+        # nullable Int64: int64 values above 2^53 compare exactly
+        df = pa.concat_tables(parts, promote_options="default") \
+            .to_pandas(types_mapper={pa.int64(): pd.Int64Dtype()}.get)
         df = df[sorted(df.columns)]
         got.append(df.sort_values(list(df.columns), ignore_index=True))
     assert len(got[0]) > 0
@@ -893,3 +982,81 @@ def test_stages_fold_hash_buckets_only_through_shuffle():
             found |= _tagged_map_groups(path.read_text(), path.name)
     assert found - _KEPT_SITES == set()
     assert _KEPT_SITES <= found, "a kept site moved: update _KEPT_SITES"
+
+
+# ---------------------------------------------------------------------------
+# one block-count rule: no per-op knob, no hand-sized repartition
+# ---------------------------------------------------------------------------
+# the deleted per-op block-count keyword, spelled in two parts so that a
+# text search for it finds nothing in the repo
+_KNOB = "shuffle" + "_blocks"
+# (module, enclosing function): each repartition sizes an OUTPUT (a
+# final table or files), not the input of a sort
+_KEPT_REPARTITIONS = {
+    # one block for a table of at most nine digit rows
+    ("stats.py", "leading_digit_counts"),
+    # ~5M posting rows per compacted index file
+    ("text_index.py", "compact_text_index"),
+    # the driver-built score table split for its consumers
+    ("graph.py", "_hits_broadcast"),
+    # the driver-built pair table split for its consumers
+    ("setjoin.py", "containment_join"),
+}
+
+
+def _block_sizing(source: str, module: str) -> set:
+    """``(module, top-level function, what)`` for every ``.repartition``
+    call (what ``"repartition"``) and every name, parameter, keyword or
+    attribute called ``_KNOB`` (what ``_KNOB``) in ``source``."""
+    import ast
+    found = set()
+    for top in ast.parse(source).body:
+        fn_name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "repartition":
+                found.add((module, fn_name, "repartition"))
+            name = getattr(node, "id", None) or getattr(node, "arg", None) \
+                or getattr(node, "attr", None)
+            if name == _KNOB:
+                found.add((module, fn_name, _KNOB))
+    return found
+
+
+def test_guard_finds_a_hand_sized_repartition():
+    src = ("def op(ds, n):\n"
+           "    return ds.map_batches(f).repartition(max(64, n // 500_000))"
+           ".groupby('k')\n"
+           f"def knob(ds, {_KNOB}=128):\n"
+           "    return ds\n"
+           "def caller(ds):\n"
+           f"    return knob(ds, {_KNOB}=8)\n"
+           "def fine(ds):\n"
+           "    return bound_blocks(ds).groupby('k')\n")
+    assert _block_sizing(src, "m.py") == {("m.py", "op", "repartition"),
+                                          ("m.py", "knob", _KNOB),
+                                          ("m.py", "caller", _KNOB)}
+
+
+def test_block_counts_are_decided_only_in_shuffle():
+    """No module of ``prompture_ray`` names the deleted per-op knob, and
+    no ``stages/`` module outside ``shuffle.py`` repartitions a sort's
+    input by hand (``shuffle.bound_blocks`` is the one rule); only the
+    listed output-sizing sites keep a ``repartition``."""
+    import pathlib
+    import prompture_ray
+    import prompture_ray.stages as stages
+    root = pathlib.Path(prompture_ray.__file__).parent
+    stage_dir = pathlib.Path(stages.__file__).parent
+    knobs, splits = set(), set()
+    for path in sorted(root.rglob("*.py")):
+        for site in _block_sizing(path.read_text(), path.name):
+            if site[2] == _KNOB:
+                knobs.add((str(path.relative_to(root)), site[1]))
+            elif path.parent == stage_dir and path.name != "shuffle.py":
+                splits.add(site[:2])
+    assert knobs == set()
+    assert splits - _KEPT_REPARTITIONS == set()
+    assert _KEPT_REPARTITIONS <= splits, \
+        "a kept site moved: update _KEPT_REPARTITIONS"

@@ -102,7 +102,7 @@ def main() -> int:
         from prompture_ray.stages.analytic import cusum_flags
         out = cusum_flags(ev(), "key", "ts", "tie", "v",
                           target_k=4986, threshold_h=100000,
-                          n_parts=256, shuffle_blocks=256)
+                          n_parts=256)
         return f"rows={out.count()}"
 
     timed("cusum_flags", run_cusum)
@@ -110,15 +110,14 @@ def main() -> int:
     def run_drawdown():
         from prompture_ray.stages.analytic import max_drawdown_by_key
         out = max_drawdown_by_key(ev(), "key", "ts", "tie", "v",
-                                  n_parts=256, shuffle_blocks=256)
+                                  n_parts=256)
         return f"keys={out.count()}"
 
     timed("max_drawdown_by_key", run_drawdown)
 
     def run_ntile():
         from prompture_ray.stages.analytic import ntile_by_key
-        out = ntile_by_key(ev(), "key", "tie", 7, n_parts=256,
-                           shuffle_blocks=256)
+        out = ntile_by_key(ev(), "key", "tie", 7, n_parts=256)
         return f"rows={out.count()}"
 
     timed("ntile_by_key", run_ntile)
@@ -146,7 +145,7 @@ def main() -> int:
 
         out = transition_counts(
             ids_ds().map_batches(plant, batch_format="pyarrow"),
-            "u", "ts", "tie", "t", n_parts=256, shuffle_blocks=256)
+            "u", "ts", "tie", "t", n_parts=256)
         return f"cells={out.count()}"
 
     timed("transition_counts", run_transitions)
