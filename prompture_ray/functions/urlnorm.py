@@ -127,14 +127,13 @@ def url_dedup_flags(ds, url_col: str, id_col: str,
     group identity, ~2^-64 corpus collision odds like the other exact
     dedups here).
 
-    Shape: canonical hash per row -> grouped Min(id) (ONE narrow
-    shuffle of (8-byte hash, id) pairs). Pass 2: ``shuffle.lookup``
+    Shape: canonical hash per row -> ``shuffle.aggregate`` min(id) (ONE
+    narrow shuffle of (8-byte hash, id) pairs). Pass 2: ``shuffle.lookup``
     maps the per-URL minimum back onto the rows — broadcast up to
     ``broadcast_max`` distinct URLs (flagging is a pure map), hash
     buckets beyond."""
-    from ray.data.aggregate import Min
     from prompture_ray.functions.sketches import hash64
-    from prompture_ray.stages.shuffle import lookup
+    from prompture_ray.stages.shuffle import aggregate, lookup
 
     def with_hash(t: pa.Table) -> pa.Table:
         canon = canonicalize_urls(t[url_col], **kw)
@@ -146,10 +145,7 @@ def url_dedup_flags(ds, url_col: str, id_col: str,
             "__ch": pa.array(h, type=pa.int64())})
 
     rows = ds.map_batches(with_hash, batch_format="pyarrow")
-    mins = rows.map_batches(
-        lambda t: t.select(["__ch", "id"]), batch_format="pyarrow") \
-        .groupby("__ch").aggregate(Min("id", alias_name="min_id")) \
-        .materialize()
+    mins = aggregate(rows, ["__ch"], min_id=("min", "id")).materialize()
 
     def flag(t: pa.Table) -> pa.Table:
         # every URL hash has its minimum by construction

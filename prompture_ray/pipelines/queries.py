@@ -4834,8 +4834,8 @@ ORACLE["compression_ratio_docs"] = COMPRESSION_RATIO_SQL
 
 def rollup_events(sf_dir: str):
     """ROLLUP (event_type, user cohort) in one data pass
-    (stages/rollup.py): per-batch partials for every level feed a single
-    grouped shuffle; values in exact integer cents."""
+    (stages/rollup.py): rows for every level feed a single
+    ``shuffle.aggregate``; values in exact integer cents."""
     from prompture_ray.stages.rollup import rollup_aggregate
     ds = _read(sf_dir, "events", ["event_type", "user_id", "value"])
 
@@ -6471,9 +6471,8 @@ def degree_events(sf_dir: str):
     pre-PageRank degree-distribution pass): in/out degree per node over
     edges planted arithmetically from event ids (src = id%97, dst =
     (id*31+7)%97 — GENUINE-arithmetic oracle, SQL replays the same map
-    and a UNION ALL grouped sum). Engine: per-batch Arrow partial
-    counts, ONE grouped Sum shuffle of 24-byte rows; edges never
-    shuffle whole."""
+    and a UNION ALL grouped sum). Engine: two 24-byte rows per edge,
+    ONE ``shuffle.aggregate`` sum; edges never shuffle whole."""
     from prompture_ray.stages.graph import degree_table
     ds = _read(sf_dir, "events", ["event_id"])
 
@@ -6508,9 +6507,8 @@ def distinct_users_exact(sf_dir: str):
     """EXACT distinct users per event type (stages/groupstats.py
     exact_nunique) — the exact complement of the HLL path that
     distinct_users exercises. GENUINE oracle: count(DISTINCT user_id).
-    Engine: per-batch pre-dedup → one wide (type,user) shuffle →
-    per-block partial counts → tiny grouped Sum; the driver never
-    holds user ids."""
+    Engine: one keys-only ``shuffle.aggregate`` on (type, user) → one
+    more counting pairs per type; the driver never holds user ids."""
     from prompture_ray.stages.groupstats import exact_nunique
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
     return exact_nunique(ds, "event_type", "user_id")
@@ -7174,8 +7172,8 @@ ORACLE["grouped_outliers_events"] = GROUPED_OUTLIERS_SQL
 def pivot_types_events(sf_dir: str):
     """Long -> wide pivot (rollup.pivot_counts): event-type count
     crosstab per user bucket (user_id % 20) — SQL's conditional
-    aggregation. Per-batch partials, one narrow grouped Sum; rows never
-    shuffle. GENUINE oracle, exact int64. OUTSIDE the full 50-slot
+    aggregation. One ``shuffle.aggregate`` sum of the narrow wide rows;
+    rows never shuffle whole. GENUINE oracle, exact int64. OUTSIDE the full 50-slot
     window — locally oracle-PASSed at sf0.01 AND sf0.1."""
     from prompture_ray.stages.rollup import pivot_counts
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
@@ -7464,7 +7462,8 @@ def copurchase_pairs_events(sf_dir: str):
     item_a < item_b collation (ASCII items: pandas code-point order ==
     DuckDB byte order). Engine: per-batch distinct shrink, ONE
     hash64(basket) % P shuffle, vectorized arithmetic pair expansion
-    per partition, grouped Sum fold bounded by the pair vocabulary.
+    per partition, one ``shuffle.aggregate`` count bounded by the pair
+    vocabulary.
     OUTSIDE the full 50-slot window — locally oracle-PASSed at sf0.01
     AND sf0.1."""
     from prompture_ray.stages.itemsets import frequent_pairs

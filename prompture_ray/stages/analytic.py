@@ -39,7 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from prompture_ray.stages import shuffle
-from prompture_ray.stages.shuffle import lookup, partition_fold
+from prompture_ray.stages.shuffle import aggregate, lookup, partition_fold
 
 
 def _plain_run(order_cols: list, value_col: str, window: int):
@@ -252,27 +252,26 @@ def percent_rank_by_key(ds, key_col: str, value_col: str,
     correctly-rounded double division of exactly representable ints —
     no rounding step anywhere.
 
-    Scale shape: per-batch (key, value, count) partials fold into ONE
-    narrow shuffle of the DISTINCT (key, value) table — inherently
+    Scale shape: ONE ``shuffle.aggregate`` row count per DISTINCT
+    (key, value) — a table inherently
     compressed (|keys| x |distinct values|, independent of row count).
     That table is collected once (must fit ``broadcast_max`` rows — a
     genuinely huge distinct set wants a pre-bucketing the caller can do
     by quantizing ``value_col``), cumsum'd per key vectorized into a
     (key, value, pr) cell table, and ``shuffle.lookup`` maps that table
     back onto the rows by (key, value). Rows themselves NEVER shuffle. A
-    null-key row gets a null ``out_col``."""
+    row with a null (or NaN) key or value is not ranked and gets a null
+    ``out_col``."""
     import ray
-    from ray.data.aggregate import Sum
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby([key_col, value_col], sort=False) \
-            .size().rename("c").reset_index()
-        g["c"] = g["c"].astype("int64")
-        return g
+    def ranked(t: pa.Table) -> pa.Table:
+        t = t.select([key_col, value_col])
+        null = pc.or_(pc.is_null(t[key_col], nan_is_null=True),
+                      pc.is_null(t[value_col], nan_is_null=True))
+        return t.filter(pc.invert(null))
 
-    cells = ds.map_batches(partial, batch_format="pandas") \
-        .groupby([key_col, value_col]).aggregate(Sum("c", alias_name="c")) \
-        .materialize()
+    cells = aggregate(ds.map_batches(ranked, batch_format="pyarrow"),
+                      [key_col, value_col], c=("count", None)).materialize()
     n_cells = cells.count()
     if n_cells > broadcast_max:
         raise RuntimeError(

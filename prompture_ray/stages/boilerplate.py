@@ -69,46 +69,34 @@ def boilerplate_lines(ds, text_col: str = "text", id_col: str = "doc_id",
     ``(id_col, text_col cleaned, n_kept, n_removed)`` with kept lines
     rejoined by ``sep`` in original order."""
     import ray
-    from ray.data.aggregate import Sum
     from prompture_ray.stages.dedup import _rebuild_cell
-    from prompture_ray.stages.shuffle import join, lookup, partition_fold
+    from prompture_ray.stages.shuffle import (aggregate, join, lookup,
+                                              partition_fold)
 
     # -- pass 1a: per-host distinct-doc frequency of every line --------
-    def df_partials(t: pa.Table) -> pa.Table:
+    def doc_lines(t: pa.Table) -> pa.Table:
+        # one (host, line) row per distinct line of each doc (comb
+        # determines the host)
         _, _, doc_idx, hh, comb, _ = _host_line_hashes(
             t, text_col, host_col, sep)
-        if len(comb) == 0:
-            return pa.table({"hh": pa.array([], type=pa.int64()),
-                             "comb": pa.array([], type=pa.int64()),
-                             "df": pa.array([], type=pa.int64())})
         order = np.lexsort((comb, doc_idx))
         d_, c_ = doc_idx[order], comb[order]
         first = np.ones(len(c_), dtype=bool)
         first[1:] = (d_[1:] != d_[:-1]) | (c_[1:] != c_[:-1])
-        u, inv = np.unique(c_[first], return_inverse=True)
-        counts = np.bincount(inv, minlength=len(u)).astype(np.int64)
-        # host hash of each unique comb (comb determines host)
-        hh_of = np.empty(len(u), dtype=np.int64)
-        hh_of[inv] = hh[order][first]
-        return pa.table({"hh": pa.array(hh_of, type=pa.int64()),
-                         "comb": pa.array(u, type=pa.int64()),
-                         "df": pa.array(counts, type=pa.int64())})
+        return pa.table({"hh": pa.array(hh[order][first], type=pa.int64()),
+                         "comb": pa.array(c_[first], type=pa.int64())})
 
-    df_rows = ds.map_batches(df_partials, batch_format="pyarrow") \
-        .groupby(["hh", "comb"]).aggregate(Sum("df", alias_name="df"))
+    df_rows = aggregate(ds.map_batches(doc_lines, batch_format="pyarrow"),
+                        ["hh", "comb"], df=("count", None))
 
     # -- pass 1b: docs per host ----------------------------------------
-    def host_partials(t: pa.Table) -> pa.Table:
+    def doc_hosts(t: pa.Table) -> pa.Table:
         _, _, _, _, _, hh_doc = _host_line_hashes(
             t, text_col, host_col, sep)
-        u, counts = np.unique(hh_doc, return_counts=True)
-        return pa.table({"hh": pa.array(u.astype(np.int64),
-                                        type=pa.int64()),
-                         "n": pa.array(counts.astype(np.int64),
-                                       type=pa.int64())})
+        return pa.table({"hh": pa.array(hh_doc, type=pa.int64())})
 
-    host_counts = ds.map_batches(host_partials, batch_format="pyarrow") \
-        .groupby("hh").aggregate(Sum("n", alias_name="n")).materialize()
+    host_counts = aggregate(ds.map_batches(doc_hosts, batch_format="pyarrow"),
+                            ["hh"], n=("count", None)).materialize()
 
     # -- threshold: df*frac_den >= frac_num*n_host AND df >= min_docs --
     def mark_bp(t: pa.Table) -> pa.Table:

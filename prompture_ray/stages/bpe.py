@@ -65,8 +65,8 @@ def train_bpe_from_counts(words, counts, n_merges: int,
 
 def bpe_word_counts(ds, text_col: str, normalize: bool = False,
                     max_words: int = 20_000_000, min_count: int = 1):
-    """Distributed (word, count) lexicon: per-batch partial counts →
-    ONE grouped shuffle of (word, count) rows → driver collect (the
+    """Distributed (word, count) lexicon: ONE ``shuffle.aggregate``
+    count of the word rows → driver collect, unordered (the
     lexicon IS the training input; ``max_words`` documents the driver
     bound — raise it only with matching driver memory).
 
@@ -83,10 +83,10 @@ def bpe_word_counts(ds, text_col: str, normalize: bool = False,
     win a merge round against repeated pairs until vocab is nearly
     exhausted); on the corpus above ``min_count=2`` collects 363 words
     instead of 891,207 (the growth IS the hapax url/id tokens)."""
-    from ray.data.aggregate import Sum
     from prompture_ray.functions.textfuncs import normalize_strings
+    from prompture_ray.stages.shuffle import aggregate
 
-    def partial(t: pa.Table) -> pa.Table:
+    def words(t: pa.Table) -> pa.Table:
         arr = t[text_col]
         if isinstance(arr, pa.ChunkedArray):
             arr = arr.combine_chunks()
@@ -94,14 +94,11 @@ def bpe_word_counts(ds, text_col: str, normalize: bool = False,
             arr = normalize_strings(arr)
         arr = pc.fill_null(arr, "")
         arr = arr.filter(pc.greater(pc.utf8_length(arr), 0))
-        flat = pc.list_flatten(pc.utf8_split_whitespace(arr))
-        w, c = np.unique(np.asarray(flat.to_pylist(), dtype=object),
-                         return_counts=True)
-        return pa.table({"word": pa.array(w, type=pa.string()),
-                         "cnt": pa.array(c.astype(np.int64))})
+        return pa.table({"word": pc.list_flatten(
+            pc.utf8_split_whitespace(arr)).cast(pa.string())})
 
-    agg = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("word").aggregate(Sum("cnt", alias_name="cnt"))
+    agg = aggregate(ds.map_batches(words, batch_format="pyarrow"),
+                    ["word"], cnt=("count", None))
     if min_count > 1:
         agg = agg.map_batches(
             lambda t: t.filter(pc.greater_equal(

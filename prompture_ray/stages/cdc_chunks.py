@@ -47,13 +47,12 @@ Python loop over bytes or rows); only narrow (hash, doc_id, idx, len)
 chunk rows shuffle in one ``shuffle.partition_fold`` on the chunk hash,
 so duplicate detection is a run-boundary scan per fold frame (the
 _bucketed_group_pairs discipline, one vectorized lexsort pass — never a
-frame per chunk); per-doc partials fold through one final narrow
-grouped Sum.
+frame per chunk); per-doc rows fold through one final
+``shuffle.aggregate`` sum.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 
@@ -178,8 +177,7 @@ def cdc_chunk_stats(ds, text_col: str, id_col: str, *,
 
     See module docstring for the boundary/hash/ordering contract and
     the scale shape."""
-    from ray.data.aggregate import Sum
-    from prompture_ray.stages.shuffle import partition_fold
+    from prompture_ray.stages.shuffle import aggregate, partition_fold
 
     # Per-doc (n_chunks, n_bytes) totals are known at CHUNKING time
     # (each doc is whole within its batch) and ride as ONE sentinel row
@@ -237,17 +235,13 @@ def cdc_chunk_stats(ds, text_col: str, id_col: str, *,
             lc = ln[cm]
             order = np.lexsort((ic, dc, h))
             hs = h[order]
+            # one row per dup occurrence; the final aggregate sums them
             dup_sorted = np.r_[False, hs[1:] == hs[:-1]]
-            dup_doc = dc[order][dup_sorted]
-            dup_len = lc[order][dup_sorted]
-            if len(dup_doc):
-                agg = pd.DataFrame({"doc_id": dup_doc, "v": dup_len}) \
-                    .groupby("doc_id", sort=False)["v"].sum()
-                out_doc.append(agg.index.to_numpy().astype(np.int64))
-                zero = np.zeros(len(agg), dtype=np.int64)
-                out_chunks.append(zero)
-                out_bytes.append(zero)
-                out_dup.append(agg.to_numpy().astype(np.int64))
+            out_doc.append(dc[order][dup_sorted])
+            zero = np.zeros(int(dup_sorted.sum()), dtype=np.int64)
+            out_chunks.append(zero)
+            out_bytes.append(zero)
+            out_dup.append(lc[order][dup_sorted])
 
         return pa.table({
             "doc_id": pa.array(np.concatenate(out_doc), type=pa.int64()),
@@ -261,7 +255,6 @@ def cdc_chunk_stats(ds, text_col: str, id_col: str, *,
     partials = partition_fold(
         ds.map_batches(make_chunks, batch_format="pyarrow"), ["h"],
         dedup_part, n_parts=n_parts, batch_format="pyarrow")
-    return partials.groupby("doc_id").aggregate(
-        Sum("n_chunks", alias_name="n_chunks"),
-        Sum("n_bytes", alias_name="n_bytes"),
-        Sum("dup_bytes", alias_name="dup_bytes"))
+    return aggregate(partials, ["doc_id"], n_chunks=("sum", "n_chunks"),
+                     n_bytes=("sum", "n_bytes"),
+                     dup_bytes=("sum", "dup_bytes"))

@@ -12,11 +12,11 @@ per-class bincount log-prob sums -> argmax, no per-row Python."""
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from prompture_ray.functions.sketches import hash64
+from prompture_ray.stages.shuffle import aggregate
 
 
 def _flat_tokens(t: pa.Table, text_col: str, normalize: bool):
@@ -40,30 +40,18 @@ def _flat_tokens(t: pa.Table, text_col: str, normalize: bool):
 def nb_train_counts(ds, text_col: str, label_col: str,
                     normalize: bool = False):
     """Distributed (label, token, cnt) + per-label doc counts: one
-    grouped shuffle. Returns the counts as a Dataset (oracle-checkable
-    with a SQL GROUP BY)."""
-    from ray.data.aggregate import Sum
+    grouped shuffle (``shuffle.aggregate``, unordered). Returns the
+    counts as a Dataset (oracle-checkable with a SQL GROUP BY)."""
 
-    def partial(t: pa.Table) -> pa.Table:
+    def label_tokens(t: pa.Table) -> pa.Table:
         t, lens, flat = _flat_tokens(t, text_col, normalize)
         labels = np.asarray(t[label_col].to_pylist(), dtype=object)
-        lab_tok = np.repeat(labels, lens)
-        if len(flat):
-            g = pd.DataFrame({"l": lab_tok, "t": flat}) \
-                .groupby(["l", "t"], sort=False).size().reset_index()
-            lab = g["l"].to_numpy()
-            tok = g["t"].to_numpy()
-            c = g[0].to_numpy().astype(np.int64)
-        else:
-            lab = tok = np.empty(0, dtype=object)
-            c = np.empty(0, dtype=np.int64)
-        return pa.table({"label": pa.array(lab, type=pa.string()),
-                         "token": pa.array(tok, type=pa.string()),
-                         "cnt": pa.array(c.astype(np.int64))})
+        return pa.table({
+            "label": pa.array(np.repeat(labels, lens), type=pa.string()),
+            "token": pa.array(flat, type=pa.string())})
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["label", "token"]).aggregate(Sum("cnt",
-                                                   alias_name="cnt"))
+    return aggregate(ds.map_batches(label_tokens, batch_format="pyarrow"),
+                     ["label", "token"], cnt=("count", None))
 
 
 def train_nb(ds, text_col: str, label_col: str, alpha: float = 1.0,
@@ -71,8 +59,6 @@ def train_nb(ds, text_col: str, label_col: str, alpha: float = 1.0,
     """Train the model: distributed counts -> driver arrays (sorted
     token-hash vocab + per-class log-prob tables). Returns a plain dict
     ready for ``ray.put``."""
-    from ray.data.aggregate import Count
-
     counts = nb_train_counts(ds, text_col, label_col, normalize) \
         .materialize()
     if counts.count() > max_vocab:
@@ -98,16 +84,13 @@ def train_nb(ds, text_col: str, label_col: str, alpha: float = 1.0,
     totals = mat.sum(axis=1)
 
     # per-label doc counts for the prior (distributed count)
-    def lab_partial(t: pa.Table) -> pa.Table:
-        l, c = np.unique(np.asarray(t[label_col].to_pylist(),
-                                    dtype=object).astype(str),
-                         return_counts=True)
-        return pa.table({"label": pa.array(l, type=pa.string()),
-                         "n": pa.array(c.astype(np.int64))})
+    def doc_label(t: pa.Table) -> pa.Table:
+        return pa.table({"label": pa.array(np.asarray(
+            t[label_col].to_pylist(), dtype=object).astype(str),
+            type=pa.string())})
 
-    from ray.data.aggregate import Sum
-    docs = ds.map_batches(lab_partial, batch_format="pyarrow") \
-        .groupby("label").aggregate(Sum("n", alias_name="n"))
+    docs = aggregate(ds.map_batches(doc_label, batch_format="pyarrow"),
+                     ["label"], n=("count", None))
     dl, dn = [], []
     for t in docs.iter_batches(batch_format="pyarrow"):
         dl.append(np.asarray(t["label"].to_pylist(), dtype=object))

@@ -59,20 +59,20 @@ def majority_vote(ds, key_col: str, value_col: str,
 
 
 def weighted_average(ds, key_col: str, value_col: str, weight_col: str):
-    """Per-key Σ(w·x)/Σw as partial sums + groupby (no full group needed)."""
+    """Per-key Σ(w·x)/Σw as one ``shuffle.aggregate`` of the two sums
+    (no full group needed)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    from prompture_ray.stages.shuffle import aggregate
 
-    def partial(t: pa.Table) -> pa.Table:
+    def products(t: pa.Table) -> pa.Table:
         wx = pc.multiply(pc.cast(t[value_col], pa.float64()),
                          pc.cast(t[weight_col], pa.float64()))
         return pa.table({key_col: t[key_col], "wx": wx,
                          "w": pc.cast(t[weight_col], pa.float64())})
 
-    agg = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(key_col).aggregate(Sum("wx", alias_name="sum_wx"),
-                                    Sum("w", alias_name="sum_w"))
+    agg = aggregate(ds.map_batches(products, batch_format="pyarrow"),
+                    [key_col], sum_wx=("sum", "wx"), sum_w=("sum", "w"))
 
     def final(t: pa.Table) -> pa.Table:
         return pa.table({

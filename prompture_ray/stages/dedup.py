@@ -36,6 +36,7 @@ from prompture_ray.functions.sketches import (
     MinHasher, hash64, simhash64, hamming_distance64,
 )
 from prompture_ray.functions.textfuncs import normalize_strings, normalize_text
+from prompture_ray.stages.shuffle import aggregate
 
 DEFAULT_SHINGLE_K = 5
 DEFAULT_JACCARD = 0.8
@@ -148,41 +149,35 @@ def dedup_exact(ds, col: str, order_col: str,
 
 
 def dedup_exact_stats(ds, col: str, normalize: bool = True):
-    """(total, kept, removed) counters — FilterStats-style summary
-    (reference filters.py:172-192 / dedup removed_count)."""
+    """(total, kept, removed, empty_dropped) counters — FilterStats-style
+    summary (reference filters.py:172-192 / dedup removed_count).
+
+    One ``shuffle.aggregate`` counts rows per content hash, an empty or
+    null text keyed as the null hash (its own group), then one keyless
+    Ray aggregate sums the per-hash rows: the driver gets four numbers,
+    never a row per distinct document."""
     from ray.data.aggregate import Sum
     hashed = add_content_hash(ds, col, "content_hash", normalize)
 
-    def partial(t: pa.Table) -> pa.Table:
-        n_empty = int(pc.sum(pc.cast(t["content_hash_empty"],
-                                     pa.int64())).as_py() or 0)
-        t = t.filter(pc.invert(t["content_hash_empty"]))
-        arr = t["content_hash"]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        vc = arr.value_counts()
-        out = pa.table({"content_hash": vc.field("values"),
-                        "n": pc.cast(vc.field("counts"), pa.int64())})
-        if n_empty:
-            # sentinel row carrying the empty-key count (content_hash null)
-            out = pa.concat_tables([out, pa.table({
-                "content_hash": pa.array([None], type=pa.int64()),
-                "n": pa.array([n_empty], type=pa.int64())})])
-        return out
+    def key(t: pa.Table) -> pa.Table:
+        h = pc.if_else(t["content_hash_empty"],
+                       pa.scalar(None, pa.int64()), t["content_hash"])
+        return pa.table({"content_hash": h})
 
-    agg = hashed.map_batches(partial, batch_format="pyarrow") \
-                .groupby("content_hash").aggregate(Sum("n", alias_name="n"))
-    df = agg.to_pandas()
-    if df.empty:  # empty input: map_batches never ran, no columns exist
-        return {"total": 0, "kept": 0, "removed": 0, "empty_dropped": 0}
-    empty_mask = df["content_hash"].isna()
-    empty = int(df.loc[empty_mask, "n"].sum())
-    real = df[~empty_mask]
-    total = int(df["n"].sum())
-    kept = int(len(real))
+    def per_hash(t: pa.Table) -> pa.Table:
+        empty = pc.is_null(t["content_hash"])
+        return pa.table({
+            "n": t["n"], "kept": pc.cast(pc.invert(empty), pa.int64()),
+            "empty": pc.if_else(empty, t["n"], 0)})
+
+    sums = aggregate(hashed.map_batches(key, batch_format="pyarrow"),
+                     ["content_hash"], n=("count", None)) \
+        .map_batches(per_hash, batch_format="pyarrow") \
+        .aggregate(Sum("n"), Sum("kept"), Sum("empty"))
+    total, kept, empty = (int((sums or {}).get(f"sum({c})") or 0)
+                          for c in ("n", "kept", "empty"))
     return {"total": total, "kept": kept,
-            "removed": int(total - empty - kept),
-            "empty_dropped": int(empty)}
+            "removed": total - empty - kept, "empty_dropped": empty}
 
 
 # ---------------------------------------------------------------------------
@@ -1159,7 +1154,6 @@ def components_label_propagation(pairs_ds, max_rounds: int = 10,
     chain then finishes in ~auto_jump_after + O(log d) rounds instead
     of d, with no flag from the caller.
     """
-    from ray.data.aggregate import Min
     from prompture_ray.stages.shuffle import bound_blocks
 
     def explode(t: pa.Table) -> pa.Table:
@@ -1175,24 +1169,24 @@ def components_label_propagation(pairs_ds, max_rounds: int = 10,
     edges = pairs_ds.map_batches(explode, batch_format="pyarrow") \
         .materialize()
 
-    # Bound block counts ONCE for the whole iteration. Ray's sort-based
-    # groupby emits roughly one output block per input block, and each
-    # round unions the label table with the edge table — so an edge
-    # Dataset arriving in hundreds of tiny blocks (typical when pairs
-    # come out of a per-bucket map_groups) makes the label table's
-    # block count GROW by the edge block count every round, and the
-    # per-round sort cost climbs superlinearly (observed at 900k docs:
-    # rounds of 21→46→59→297→319→1385 s on a CONSTANT 18k-row label
-    # table). ``shuffle.bound_blocks`` on the edges and on every
-    # round's label table keeps every round's shuffle flat.
+    # Bound block counts ONCE for the whole iteration. A sort emits
+    # roughly one output block per input block, and each round unions
+    # the label table with the edge table — so an edge Dataset arriving
+    # in hundreds of tiny blocks (typical when pairs come out of a
+    # per-bucket fold) makes the label table's block count GROW by the
+    # edge block count every round, and the per-round sort cost climbs
+    # superlinearly (observed at 900k docs: rounds of
+    # 21→46→59→297→319→1385 s on a CONSTANT 18k-row label table).
+    # ``shuffle.bound_blocks`` on the edges, and on the tagged input of
+    # every round's ``aggregate`` (its fold applies it), keeps every
+    # round's shuffle flat.
     edges = bound_blocks(edges).materialize()
 
-    labels = bound_blocks(
-        edges.groupby("id").aggregate(Min("peer", alias_name="m"))
-        .map_batches(lambda t: pa.table({
+    labels = aggregate(edges, ["id"], m=("min", "peer")).map_batches(
+        lambda t: pa.table({
             "id": t["id"],
             "label": pc.min_element_wise(t["id"], t["m"]),
-        }), batch_format="pyarrow").materialize()).materialize()
+        }), batch_format="pyarrow").materialize()
 
     from ray.data.aggregate import Sum
 
@@ -1291,8 +1285,8 @@ def components_label_propagation(pairs_ds, max_rounds: int = 10,
         # materialized and reused every round (ROADMAP D reworks this)
         msgs = tagged_labels.union(tagged_edges).groupby("__pb") \
             .map_groups(send_part, batch_format="pyarrow")
-        labels = bound_blocks(msgs.groupby("id").aggregate(
-            Min("label", alias_name="label")).materialize()).materialize()
+        labels = aggregate(msgs, ["id"], label=("min", "label")) \
+            .materialize()
         if jump is True or (jump == "auto" and rnd >= auto_jump_after):
             labels = bound_blocks(jump_once(labels)).materialize()
         cur = label_checksum(labels)
@@ -1522,23 +1516,11 @@ def ngram_contamination(train_ds, eval_ds, text_col: str, id_col: str,
     that has ≥ n tokens.
     """
     import ray
-    from ray.data.aggregate import Count, Sum
     from prompture_ray.stages.shuffle import join
 
     train_grams = _token_ngram_rows(train_ds, text_col, id_col, n,
                                     normalize)
-
-    def local_unique(t: pa.Table) -> pa.Table:
-        # combiner: dedup inside the batch before the distinct shuffle
-        # (zipfian gram counts make this a large reduction)
-        return pa.table({"gram": pa.array(np.unique(
-            t["gram"].to_numpy(zero_copy_only=False)), type=pa.int64())})
-
-    distinct = train_grams.map_batches(local_unique,
-                                       batch_format="pyarrow") \
-        .groupby("gram").aggregate(Count(alias_name="__n")) \
-        .map_batches(lambda t: t.select(["gram"]),
-                     batch_format="pyarrow").materialize()
+    distinct = aggregate(train_grams, ["gram"]).materialize()
 
     eval_grams = _token_ngram_rows(eval_ds, text_col, id_col, n,
                                    normalize)
@@ -1557,36 +1539,26 @@ def ngram_contamination(train_ds, eval_ds, text_col: str, id_col: str,
             or [np.empty(0, dtype=np.int64)]))
         ref = ray.put(grams_sorted)
 
-        def partial(t: pa.Table) -> pa.Table:
+        def hit(t: pa.Table) -> pa.Table:
             gs = ray.get(ref)
             g = t["gram"].to_numpy(zero_copy_only=False)
             idx = np.searchsorted(gs, g)
-            hit = (idx < len(gs)) & (gs[np.clip(idx, 0, max(len(gs) - 1,
-                                                            0))] == g) \
+            h = (idx < len(gs)) & (gs[np.clip(idx, 0, max(len(gs) - 1,
+                                                          0))] == g) \
                 if len(gs) else np.zeros(len(g), dtype=bool)
-            df = pd.DataFrame({
-                "id": t["id"].to_numpy(zero_copy_only=False),
-                "h": hit.astype(np.int64)})
-            agg = df.groupby("id", sort=False)["h"].agg(["sum", "size"])
-            return pa.table({
-                "id": pa.array(agg.index.to_numpy(), type=pa.int64()),
-                "contaminated": pa.array(agg["sum"].to_numpy(),
-                                         type=pa.int64()),
-                "total_grams": pa.array(agg["size"].to_numpy(),
-                                        type=pa.int64())})
+            return pa.table({"id": t["id"],
+                             "h": pa.array(h.astype(np.int64))})
 
-        out = eval_grams.map_batches(partial, batch_format="pyarrow") \
-            .groupby("id").aggregate(
-                Sum("contaminated", alias_name="contaminated"),
-                Sum("total_grams", alias_name="total_grams"))
+        out = aggregate(eval_grams.map_batches(hit, batch_format="pyarrow"),
+                        ["id"], contaminated=("sum", "h"),
+                        total_grams=("count", None))
         return out.map_batches(finish, batch_format="pandas")
 
     eval_grams = eval_grams.materialize()   # consumed twice below
-    totals = eval_grams.groupby("id").aggregate(
-        Count(alias_name="total_grams"))
+    totals = aggregate(eval_grams, ["id"], total_grams=("count", None))
     hits = join(eval_grams, distinct, "gram", n_buckets=n_buckets)
-    hit_counts = hits.groupby("id").aggregate(
-        Count(alias_name="contaminated")).materialize()
+    hit_counts = aggregate(hits, ["id"],
+                           contaminated=("count", None)).materialize()
     # totals ⋈ hit_counts (left): docs with zero hits keep contaminated=0
     joined = join(totals, hit_counts, "id", how="left", n_buckets=n_buckets)
     return joined.map_batches(finish, batch_format="pandas")
@@ -1657,25 +1629,20 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     corpus-sized on the driver either way). Line identity is hash-only
     (64-bit; ~n²/2^64 collision odds corpus-wide)."""
     import ray
-    from ray.data.aggregate import Sum
     from prompture_ray.stages.shuffle import join, partition_fold
 
-    def df_partials(t: pa.Table) -> pa.Table:
+    def doc_lines(t: pa.Table) -> pa.Table:
+        # one gram row per distinct line of each doc (a doc is one row,
+        # so its lines are all in this batch)
         flat, lens, doc_idx, h = _split_lines(t, text_col, sep)
-        if len(h) == 0:
-            return pa.table({"gram": pa.array([], type=pa.int64()),
-                             "df": pa.array([], type=pa.int64())})
         order = np.lexsort((h, doc_idx))
         ds_, hs_ = doc_idx[order], h[order]
         first = np.ones(len(hs_), dtype=bool)
         first[1:] = (ds_[1:] != ds_[:-1]) | (hs_[1:] != hs_[:-1])
-        grams, counts = np.unique(hs_[first], return_counts=True)
-        return pa.table({"gram": pa.array(grams, type=pa.int64()),
-                         "df": pa.array(counts.astype(np.int64),
-                                        type=pa.int64())})
+        return pa.table({"gram": pa.array(hs_[first], type=pa.int64())})
 
-    df_rows = ds.map_batches(df_partials, batch_format="pyarrow") \
-        .groupby("gram").aggregate(Sum("df", alias_name="df"))
+    df_rows = aggregate(ds.map_batches(doc_lines, batch_format="pyarrow"),
+                        ["gram"], df=("count", None))
     common = df_rows.map_batches(
         lambda t: t.filter(pc.greater_equal(t["df"], min_docs))
         .select(["gram"]), batch_format="pyarrow").materialize()
@@ -1779,8 +1746,8 @@ def duplicate_span_stats(ds, text_col: str = "text",
     where dup_frac = covered_tokens / n_tokens (single division of exact
     ints — bit-identical to a SQL oracle).
 
-    Shape: gram rows → per-batch partial counts → ONE narrow shuffle of
-    8-byte hashes for the corpus occurrence counts. Size-aware dispatch
+    Shape: gram rows → ONE ``shuffle.aggregate`` count of 8-byte hashes
+    for the corpus occurrence counts. Size-aware dispatch
     on the duplicated-gram count: up to ``broadcast_max`` the sorted
     array is broadcast via ``ray.put`` and pass 2 is a pure map over the
     docs — each doc is one row, so its windows are complete inside the
@@ -1788,21 +1755,12 @@ def duplicate_span_stats(ds, text_col: str = "text",
     position rows × dup grams go through the hash-bucketed join and
     spans merge in one ``partition_fold`` on the doc id."""
     import ray
-    from ray.data.aggregate import Sum
     from prompture_ray.stages.shuffle import join, partition_fold
 
     grams = _token_ngram_rows(ds, text_col, id_col, n, normalize,
                               with_pos=True)
 
-    def count_partials(t: pa.Table) -> pa.Table:
-        g, c = np.unique(t["gram"].to_numpy(zero_copy_only=False),
-                         return_counts=True)
-        return pa.table({"gram": pa.array(g, type=pa.int64()),
-                         "cnt": pa.array(c.astype(np.int64),
-                                         type=pa.int64())})
-
-    counts = grams.map_batches(count_partials, batch_format="pyarrow") \
-        .groupby("gram").aggregate(Sum("cnt", alias_name="cnt"))
+    counts = aggregate(grams, ["gram"], cnt=("count", None))
     dup = counts.map_batches(
         lambda t: t.filter(pc.greater_equal(t["cnt"], min_count))
         .select(["gram"]), batch_format="pyarrow").materialize()
@@ -2049,21 +2007,10 @@ def remove_duplicate_spans(ds, text_col: str = "text",
     are string-packed per doc inside bounded ``hash(id) % cells``
     frames, and ONE more bucketed join ships each doc's text past its
     own interval list — text moves through the shuffle exactly once."""
-    import ray
-    from ray.data.aggregate import Sum
-
     grams = _token_ngram_rows(ds, text_col, id_col, n, normalize,
                               with_pos=True)
 
-    def count_partials(t: pa.Table) -> pa.Table:
-        g, c = np.unique(t["gram"].to_numpy(zero_copy_only=False),
-                         return_counts=True)
-        return pa.table({"gram": pa.array(g, type=pa.int64()),
-                         "cnt": pa.array(c.astype(np.int64),
-                                         type=pa.int64())})
-
-    counts = grams.map_batches(count_partials, batch_format="pyarrow") \
-        .groupby("gram").aggregate(Sum("cnt", alias_name="cnt"))
+    counts = aggregate(grams, ["gram"], cnt=("count", None))
     dup = counts.map_batches(
         lambda t: t.filter(pc.greater_equal(t["cnt"], min_count))
         .select(["gram"]), batch_format="pyarrow").materialize()
@@ -2128,25 +2075,15 @@ def remove_contaminated_spans(train_ds, eval_ds, text_col: str = "text",
     schema: (id, n_tokens, kept_tokens, removed_tokens, clean_text),
     one row per nonempty train doc.
 
-    Shape: the eval gram set folds with per-batch np.unique partials
-    into ONE narrow grouped shuffle of 8-byte hashes (bounded by the
+    Shape: the eval gram set folds with one keys-only
+    ``shuffle.aggregate`` of 8-byte hashes (bounded by the
     EVAL corpus — small next to train by definition); cleaning reuses
     the substring-dedup tail verbatim (size-aware: broadcast sorted
     hash array + pure map, or hash-bucketed joins at >broadcast_max
     eval grams)."""
-    from ray.data.aggregate import Count
-
     egrams = _token_ngram_rows(eval_ds, text_col, id_col, n, normalize,
                                with_pos=False)
-
-    def distinct_partial(t: pa.Table) -> pa.Table:
-        g = np.unique(t["gram"].to_numpy(zero_copy_only=False))
-        return pa.table({"gram": pa.array(g, type=pa.int64())})
-
-    dup = egrams.map_batches(distinct_partial, batch_format="pyarrow") \
-        .groupby("gram").aggregate(Count(alias_name="c")) \
-        .map_batches(lambda t: t.select(["gram"]),
-                     batch_format="pyarrow").materialize()
+    dup = aggregate(egrams, ["gram"]).materialize()
 
     tgrams = _token_ngram_rows(train_ds, text_col, id_col, n, normalize,
                                with_pos=True)

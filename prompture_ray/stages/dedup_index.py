@@ -11,7 +11,7 @@ content-hash set persisted as bucket-partitioned parquet:
     index_dir/bucket=K/*.parquet        (content_hash int64) rows
     index_dir/bucket=K/updG-*.parquet   delta generations (appends)
 
-- ``build_dedup_index``: ONE narrow grouped shuffle of 8-byte hashes
+- ``build_dedup_index``: ONE ``shuffle.aggregate`` of 8-byte hashes
   (distinct + intra-corpus dup count as a bonus stat); text never
   shuffles.
 - ``dedup_against_index``: zero-shuffle membership filter — the driver
@@ -46,6 +46,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from prompture_ray.functions.sketches import hash64
+from prompture_ray.stages.shuffle import aggregate
 
 
 def _content_hashes(t: pa.Table, col: str) -> np.ndarray:
@@ -95,8 +96,6 @@ def build_dedup_index(ds, col: str, index_dir: str,
                       overwrite: bool = False) -> dict:
     """One pass: distinct content hashes (+ intra-corpus dup counts)
     bucket-partitioned under ``index_dir``. Returns the meta dict."""
-    from ray.data.aggregate import Count
-
     if os.path.exists(os.path.join(index_dir, "meta.json")):
         if not overwrite:
             raise FileExistsError(
@@ -109,8 +108,8 @@ def build_dedup_index(ds, col: str, index_dir: str,
         h = _content_hashes(t, col)
         return pa.table({"content_hash": pa.array(h, type=pa.int64())})
 
-    distinct = ds.map_batches(hash_rows, batch_format="pyarrow") \
-        .groupby("content_hash").aggregate(Count(alias_name="n_dups"))
+    distinct = aggregate(ds.map_batches(hash_rows, batch_format="pyarrow"),
+                         ["content_hash"], n_dups=("count", None))
 
     def tag(t: pa.Table) -> pa.Table:
         h = t["content_hash"].to_numpy(zero_copy_only=False)
@@ -240,8 +239,6 @@ def update_dedup_index(index_dir: str, add_ds,
                        col: str | None = None) -> dict:
     """Append the wave's (distinct) hashes as delta files into the
     existing bucket dirs; the old corpus is never re-read."""
-    from ray.data.aggregate import Count
-
     meta = read_meta(index_dir)
     n_buckets = int(meta["n_buckets"])
     col = col or meta["col"]
@@ -261,8 +258,8 @@ def update_dedup_index(index_dir: str, add_ds,
 
     tmp = os.path.join(index_dir, "_delta_tmp")
     shutil.rmtree(tmp, ignore_errors=True)
-    add_ds.map_batches(hash_rows, batch_format="pyarrow") \
-        .groupby("content_hash").aggregate(Count(alias_name="n_dups")) \
+    aggregate(add_ds.map_batches(hash_rows, batch_format="pyarrow"),
+              ["content_hash"], n_dups=("count", None)) \
         .map_batches(tag, batch_format="pyarrow") \
         .write_parquet(tmp, partition_cols=["bucket"])
     for src in glob.glob(os.path.join(tmp, "bucket=*", "*.parquet")):

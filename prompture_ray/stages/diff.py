@@ -24,8 +24,8 @@ def corpus_diff(ds_old, ds_new, id_col: str, content_col: str,
     'removed', 'changed', 'same'}. Content equality is 64-bit content
     hash (``sketches.hash64``) over ``content_col`` (optionally
     normalized like exact dedup)."""
-    from ray.data.aggregate import Min
     from prompture_ray.functions.sketches import hash64
+    from prompture_ray.stages.shuffle import aggregate
 
     def tag(side: str):
         def fn(t: pa.Table) -> pa.Table:
@@ -54,8 +54,8 @@ def corpus_diff(ds_old, ds_new, id_col: str, content_col: str,
     import pyarrow.compute as pc  # noqa: F401  (used in tag closures)
     both = ds_old.map_batches(tag("old"), batch_format="pyarrow") \
         .union(ds_new.map_batches(tag("new"), batch_format="pyarrow"))
-    agg = both.groupby("id").aggregate(Min("h_old", alias_name="h_old"),
-                                       Min("h_new", alias_name="h_new"))
+    agg = aggregate(both, ["id"], h_old=("min", "h_old"),
+                    h_new=("min", "h_new"))
 
     def status(t: pa.Table) -> pa.Table:
         ho = t["h_old"].to_numpy(zero_copy_only=False)

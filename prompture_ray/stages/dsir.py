@@ -15,8 +15,8 @@ Semantics:
   select        = log w > threshold   (or deterministic Gumbel top-k)
 
 Scale shape: fitting reduces each corpus to (bucket, cnt) rows with one
-narrow grouped shuffle (per-batch ``bincount`` partials first, so at
-most ``n_buckets`` rows per batch leave the scan); the two count
+``shuffle.aggregate`` (its per-batch combine leaves at most
+``n_buckets`` rows per batch to shuffle); the two count
 vectors (driver-bounded at exactly ``n_buckets`` float64 — 512 KB at
 the 65536 default, NOT data-sized) fold into one log-ratio array that
 ships once via ``ray.put``; scoring is a pure map_batches (hash →
@@ -59,24 +59,18 @@ def _bucket_ids(lens: np.ndarray, flat: np.ndarray, n_buckets: int,
 def _corpus_counts(ds, text_col: str, n_buckets: int, bigrams: bool,
                    normalize: bool, dedup_first: bool):
     """Distributed (bucket, cnt) feature counts for one corpus."""
-    from ray.data.aggregate import Count, Sum
+    from prompture_ray.stages.shuffle import aggregate
     if dedup_first:
-        # distinct texts via a count aggregate (never map_groups head(1))
-        ds = ds.groupby(text_col).aggregate(Count()).materialize()
+        # distinct texts via a keys-only aggregate
+        ds = aggregate(ds, [text_col]).materialize()
 
-    def partial(t: pa.Table) -> pa.Table:
+    def features(t: pa.Table) -> pa.Table:
         t, lens, flat = _flat_tokens(t, text_col, normalize)
         ids, _ = _bucket_ids(lens, flat, n_buckets, bigrams)
-        if len(ids):
-            cnt = np.bincount(ids, minlength=0)
-            nz = np.flatnonzero(cnt)
-            return pa.table({"bucket": pa.array(nz, type=pa.int64()),
-                             "cnt": pa.array(cnt[nz].astype(np.int64))})
-        return pa.table({"bucket": pa.array([], type=pa.int64()),
-                         "cnt": pa.array([], type=pa.int64())})
+        return pa.table({"bucket": pa.array(ids, type=pa.int64())})
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").aggregate(Sum("cnt", alias_name="cnt"))
+    return aggregate(ds.map_batches(features, batch_format="pyarrow"),
+                     ["bucket"], cnt=("count", None))
 
 
 def _counts_to_vec(counts_ds, n_buckets: int) -> np.ndarray:

@@ -11,9 +11,9 @@ as ONE correctly-rounded double division of exactly-representable
 int64s (the tf/df precedent), so a SQL replay is bit-identical with
 no rounding anywhere. Ties use the standard midrank convention.
 
-Scale shape: scores are grouped per batch to (score, n_pos, n_neg)
-partials, one narrow grouped Sum bounded by the DISTINCT SCORE
-VOCABULARY, and the final cumulative fold runs on the driver over
+Scale shape: one ``shuffle.aggregate`` folds the rows to
+(score, n_pos, n_neg), bounded by the DISTINCT SCORE VOCABULARY, and
+the final cumulative fold runs on the driver over
 that value table — the operator's documented contract is therefore
 *quantized/bucketed scores* (the universal practice for AUC at scale:
 fixed-precision model scores). ``max_distinct`` guards the driver
@@ -32,23 +32,16 @@ def auc_exact(ds, score_col: str, label_col: str, *,
     """One-row Dataset ``(n_pos, n_neg, u2, auc)`` — the exact ROC AUC
     of ``score_col`` ranking ``label_col`` (0/1 ints). See module
     docstring for the integer-exact contract."""
-    from ray.data.aggregate import Sum
-    from prompture_ray.stages.shuffle import bound_blocks
+    from prompture_ray.stages.shuffle import aggregate
 
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.table({
+    def labels(t: pa.Table) -> pa.Table:
+        y = t[label_col].combine_chunks().cast(pa.int64())
+        return pa.table({
             "s": t[score_col].combine_chunks().cast(pa.int64()),
-            "y": t[label_col].combine_chunks().cast(pa.int64()),
-        }).group_by("s").aggregate([("y", "sum"), ("y", "count")])
-        npos = g["y_sum"].cast(pa.int64())
-        tot = g["y_count"].cast(pa.int64())
-        return pa.table({"s": g["s"], "np": npos,
-                         "nn": pc.subtract(tot, npos)})
+            "y": y, "n": pc.subtract(1, y)})
 
-    counts = bound_blocks(ds.map_batches(partial, batch_format="pyarrow")) \
-        .groupby("s").aggregate(Sum("np", alias_name="np"),
-                                Sum("nn", alias_name="nn")) \
-        .materialize()
+    counts = aggregate(ds.map_batches(labels, batch_format="pyarrow"),
+                       ["s"], np=("sum", "y"), nn=("sum", "n")).materialize()
     n_vals = counts.count()
     if n_vals > max_distinct:
         raise ValueError(

@@ -3,10 +3,13 @@ edge Dataset (beyond the reference — the link-analysis slot of a
 web-crawl pipeline; Page et al. 1999).
 
 Scale shape: out-degrees are folded into the edge table ONCE (one
-grouped shuffle + one bucketed join, materialized); each power
+``shuffle.aggregate`` + one bucketed join, materialized); each power
 iteration is then exactly one bucketed join (ranks x edges on src — the
-rank side is one narrow (node, v) column pair) and one grouped Sum by
-dst, with a left join back to the node list for dangling-in nodes. No
+rank side is one narrow (node, v) column pair) and one
+``shuffle.aggregate`` sum by dst, with a left join back to the node
+list for dangling-in nodes. Every grouped count and sum here (node
+sets, degrees, per-node sums) is a ``shuffle.aggregate``, whose output
+is not ordered by node. No
 driver state grows with the graph; k iterations = k shuffle rounds
 (inherent to power iteration).
 
@@ -23,11 +26,34 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from prompture_ray.stages.shuffle import bound_blocks, target_blocks
+from prompture_ray.stages.shuffle import (aggregate, bound_blocks,
+                                          target_blocks)
 
 # hash partitions of the edge, wedge and closing folds of triangle_count,
 # common_neighbors and k_core
 EDGE_PARTS = 128
+
+
+def _ends(t: pa.Table, a: str, b: str) -> pa.Table:
+    """One ``node`` row per edge end: the ``a`` ids, then the ``b`` ids
+    (int64)."""
+    return pa.table({"node": pa.concat_arrays([
+        t[a].combine_chunks().cast(pa.int64()),
+        t[b].combine_chunks().cast(pa.int64())])})
+
+
+def _nodes(ds, a: str, b: str):
+    """The distinct node ids ``(node,)`` of ``a`` ∪ ``b`` (unordered)."""
+    return aggregate(ds.map_batches(_ends, fn_args=(a, b),
+                                    batch_format="pyarrow"), ["node"])
+
+
+def _degrees(ds, a: str, b: str, name: str):
+    """Total degree per node of the edge ends ``a`` ∪ ``b``:
+    ``(node, name)``, unordered."""
+    return aggregate(ds.map_batches(_ends, fn_args=(a, b),
+                                    batch_format="pyarrow"),
+                     ["node"], **{name: ("count", None)})
 
 
 def pagerank(edges, src_col: str = "src", dst_col: str = "dst",
@@ -38,7 +64,6 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst",
     Dangling-OUT nodes (no out-edges) leak mass like the classic
     simple formulation (no redistribution term) — documented choice so
     the oracle recurrence stays closed-form."""
-    from ray.data.aggregate import Sum, Count
     from prompture_ray.stages.shuffle import join
 
     def proj(t: pa.Table) -> pa.Table:
@@ -48,21 +73,11 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst",
 
     e = edges.map_batches(proj, batch_format="pyarrow").materialize()
 
-    # node set = distinct src ∪ dst (one grouped shuffle of 8-byte ids)
-    def both(t: pa.Table) -> pa.Table:
-        ids = np.unique(np.concatenate([
-            t["src"].to_numpy(zero_copy_only=False),
-            t["dst"].to_numpy(zero_copy_only=False)]))
-        return pa.table({"node": pa.array(ids, type=pa.int64())})
-
-    nodes = e.map_batches(both, batch_format="pyarrow") \
-        .groupby("node").aggregate(Count(alias_name="__c")) \
-        .map_batches(lambda t: t.select(["node"]),
-                     batch_format="pyarrow").materialize()
+    nodes = _nodes(e, "src", "dst").materialize()
     n = nodes.count()
 
     # fold 1/outdeg into the edges once
-    outdeg = e.groupby("src").aggregate(Count(alias_name="outdeg"))
+    outdeg = aggregate(e, ["src"], outdeg=("count", None))
     e = join(e, outdeg, "src", n_buckets=n_buckets).materialize()
 
     def seed(t: pa.Table) -> pa.Table:
@@ -88,8 +103,9 @@ def pagerank(edges, src_col: str = "src", dst_col: str = "dst",
                 "dst": b["dst"].to_numpy(),
                 "c": b["rank"].to_numpy() / b["outdeg"].to_numpy()})
 
-        sums = contrib_in.map_batches(contrib, batch_format="pandas") \
-            .groupby("dst").aggregate(Sum("c", alias_name="insum"))
+        sums = aggregate(contrib_in.map_batches(contrib,
+                                                batch_format="pandas"),
+                         ["dst"], insum=("sum", "c"))
         joined = join(nodes, sums, "node", "dst", how="left",
                       n_buckets=n_buckets)
 
@@ -151,40 +167,24 @@ def extract_links(ds, html_col: str, id_col: str):
 def degree_table(edges, src_col: str = "src", dst_col: str = "dst"):
     """In/out degree per node over an edge Dataset — the standard
     pre-PageRank audit (degree distribution, dangling/sink detection).
-    Returns ``(node, out_deg, in_deg)`` covering distinct src ∪ dst.
+    Returns ``(node, out_deg, in_deg)`` covering distinct src ∪ dst,
+    unordered.
 
-    Scale shape: each batch reduces to per-node partial counts with two
-    Arrow group_bys (≤ 2 rows per node per batch), then ONE grouped Sum
-    shuffle of 24-byte partial rows, bounded by ``shuffle.bound_blocks``
-    first (round-5 pathology: groupby sort cost follows input block
-    count — 19x superlinear at 10x rows over a 1500-fragment corpus
-    before the coalesce). Edges never shuffle whole; the driver holds
-    nothing."""
-    from ray.data.aggregate import Sum
+    Scale shape: each edge becomes two 24-byte ``(node, __o, __i)`` rows
+    (its src with ``__o = 1``, its dst with ``__i = 1``), and ONE
+    ``shuffle.aggregate`` sums them per node. Edges never shuffle whole;
+    the driver holds nothing."""
 
-    def partial(t: pa.Table) -> pa.Table:
-        o = t.select([src_col]).group_by(src_col).aggregate(
-            [([], "count_all")])
-        i = t.select([dst_col]).group_by(dst_col).aggregate(
-            [([], "count_all")])
-        node = pa.concat_arrays([
-            o[src_col].combine_chunks().cast(pa.int64()),
-            i[dst_col].combine_chunks().cast(pa.int64())])
-        zeros_o = np.zeros(len(i), dtype=np.int64)
-        zeros_i = np.zeros(len(o), dtype=np.int64)
-        return pa.table({
-            "node": node,
-            "__o": pa.array(np.concatenate([
-                o["count_all"].to_numpy(zero_copy_only=False)
-                .astype(np.int64), zeros_o]), type=pa.int64()),
-            "__i": pa.array(np.concatenate([
-                zeros_i,
-                i["count_all"].to_numpy(zero_copy_only=False)
-                .astype(np.int64)]), type=pa.int64())})
+    def ends(t: pa.Table) -> pa.Table:
+        one = np.ones(t.num_rows, dtype=np.int64)
+        zero = np.zeros(t.num_rows, dtype=np.int64)
+        return _ends(t, src_col, dst_col).append_column(
+            "__o", pa.array(np.r_[one, zero])).append_column(
+            "__i", pa.array(np.r_[zero, one]))
 
-    return bound_blocks(edges.map_batches(partial, batch_format="pyarrow")) \
-        .groupby("node").aggregate(Sum("__o", alias_name="out_deg"),
-                                   Sum("__i", alias_name="in_deg"))
+    return aggregate(edges.map_batches(ends, batch_format="pyarrow"),
+                     ["node"], out_deg=("sum", "__o"),
+                     in_deg=("sum", "__i"))
 
 
 # anchor = href + inner text up to the first '<' (nested markup inside
@@ -304,20 +304,7 @@ def triangle_count(edges, a_col: str = "src", b_col: str = "dst", *,
 
     ded = canonical_edges(edges, a_col, b_col,
                           n_parts=EDGE_PARTS).materialize()
-
-    # total degree per node (partial counts -> one narrow grouped Sum)
-    def deg_partial(t: pa.Table) -> pa.Table:
-        node = pa.concat_arrays([t["u"].combine_chunks(),
-                                 t["v"].combine_chunks()])
-        g = pa.table({"node": node}).group_by("node").aggregate(
-            [([], "count_all")])
-        return pa.table({"node": g["node"],
-                         "d": g["count_all"].cast(pa.int64())})
-
-    degs = bound_blocks(ded.map_batches(deg_partial,
-                                        batch_format="pyarrow")) \
-        .groupby("node").aggregate(Sum("d", alias_name="d")) \
-        .materialize()
+    degs = _degrees(ded, "u", "v", "d").materialize()
 
     rank_ref = None
     if degs.count() <= broadcast_max:
@@ -388,8 +375,8 @@ def k_core(edges, k: int, a_col: str = "src", b_col: str = "dst", *,
     (empty when the graph has no k-core). The density/community
     filter of web-graph curation (Batagelj-Zaveršnik peeling).
 
-    Scale shape: each round = one degree fold (per-batch partials +
-    grouped Sum, the degree_table pattern) and one edge filter by
+    Scale shape: each round = one degree count (one
+    ``shuffle.aggregate`` over the edge ends) and one edge filter by
     alive-node membership — size-aware: alive ids broadcast as ONE
     sorted array via ``ray.put`` + per-batch searchsorted while they
     fit ``broadcast_max``, else two hash-bucketed equi-joins (the
@@ -399,7 +386,6 @@ def k_core(edges, k: int, a_col: str = "src", b_col: str = "dst", *,
     broadcast regime the sorted id array is object-store-resident)."""
     import ray
     import ray.data as rd
-    from ray.data.aggregate import Sum
     from prompture_ray.stages.shuffle import join
 
     if k < 1:
@@ -411,21 +397,10 @@ def k_core(edges, k: int, a_col: str = "src", b_col: str = "dst", *,
         "node": pa.array([], type=pa.int64()),
         "deg": pa.array([], type=pa.int64())}))
 
-    def deg_partial(t: pa.Table) -> pa.Table:
-        node = pa.concat_arrays([t["u"].combine_chunks(),
-                                 t["v"].combine_chunks()])
-        g = pa.table({"node": node}).group_by("node").aggregate(
-            [([], "count_all")])
-        return pa.table({"node": g["node"],
-                         "d": g["count_all"].cast(pa.int64())})
-
     for _ in range(max_rounds):
         if ded.count() == 0:
             return empty
-        degs = bound_blocks(ded.map_batches(deg_partial,
-                                            batch_format="pyarrow")) \
-            .groupby("node").aggregate(Sum("d", alias_name="deg")) \
-            .materialize()
+        degs = _degrees(ded, "u", "v", "deg").materialize()
         alive = degs.filter(expr=f"deg >= {int(k)}").materialize()
         n_alive, n_nodes = alive.count(), degs.count()
         if n_alive == n_nodes:
@@ -490,15 +465,12 @@ def hits_scores(edges, src_col: str = "src", dst_col: str = "dst",
     group_prior precedent). Up to ``broadcast_max`` nodes the score
     vector lives as ONE sorted broadcast array per half-round — each
     half-round is a zero-join pass (per-batch searchsorted attach +
-    in-batch partial sums) plus ONE narrow grouped Sum bounded by
-    nodes × blocks, with an O(nodes) guarded driver fold. Beyond
-    that, each half-round is one ``shuffle.join`` (edges ×
-    score table) + one grouped Sum, exactly the pagerank iteration
-    shape; score-table block count is re-bounded every round (the
+    in-batch partial sums indexed into the node order) with an
+    O(nodes) guarded driver fold. Beyond that, each half-round is one
+    ``shuffle.join`` (edges × score table) + one ``shuffle.aggregate``
+    sum, exactly the pagerank iteration shape; score-table block count is re-bounded every round (the
     components-round lesson). Both paths are equality-tested via
     ``broadcast_max=0``."""
-    import ray
-    from ray.data.aggregate import Sum, Count
     from prompture_ray.stages.shuffle import join
 
     def proj(t: pa.Table) -> pa.Table:
@@ -511,16 +483,7 @@ def hits_scores(edges, src_col: str = "src", dst_col: str = "dst",
     # coalesce the edge table once at birth
     e = bound_blocks(e).materialize()
 
-    def both(t: pa.Table) -> pa.Table:
-        ids = np.unique(np.concatenate([
-            t["src"].to_numpy(zero_copy_only=False),
-            t["dst"].to_numpy(zero_copy_only=False)]))
-        return pa.table({"node": pa.array(ids, type=pa.int64())})
-
-    nodes = e.map_batches(both, batch_format="pyarrow") \
-        .groupby("node").aggregate(Count(alias_name="__c")) \
-        .map_batches(lambda t: t.select(["node"]),
-                     batch_format="pyarrow").materialize()
+    nodes = _nodes(e, "src", "dst").materialize()
     n = nodes.count()
 
     if n <= broadcast_max:
@@ -544,8 +507,8 @@ def hits_scores(edges, src_col: str = "src", dst_col: str = "dst",
                 "v": b[score_col].fillna(0).to_numpy()
                 .astype(np.int64)})
 
-        sums = j.map_batches(contrib, batch_format="pandas") \
-            .groupby("node").aggregate(Sum("v", alias_name="v"))
+        sums = aggregate(j.map_batches(contrib, batch_format="pandas"),
+                         ["node"], v=("sum", "v"))
         full = join(nodes, sums, "node", how="left", n_buckets=n_buckets)
 
         def finish(b: pd.DataFrame) -> pd.DataFrame:
@@ -577,10 +540,9 @@ def _hits_broadcast(e, nodes, n: int, k: int):
     """Broadcast HITS rounds (≤ broadcast_max nodes — guarded by the
     caller): the per-round score vector ships once via ray.put as a
     (sorted nodes, values) pair; each half-round is a zero-join
-    per-batch pass (searchsorted attach + in-batch partial groupby)
-    + ONE narrow grouped Sum of (node, v) partials + an O(nodes)
-    driver reindex (the same bound the broadcast itself already
-    holds)."""
+    per-batch pass (searchsorted attach + in-batch partial sums
+    indexed into the node order) + an O(nodes) driver fold of those
+    partials (the same bound the broadcast itself already holds)."""
     import ray
     import ray.data as rd
 
@@ -711,7 +673,6 @@ def negative_edges(edges, k: int, a_col: str = "src",
     verify); generation is a zero-shuffle per-batch numpy pass over
     the node Dataset."""
     import ray
-    from ray.data.aggregate import Count
 
     def _guard(count: int, what: str):
         if count > broadcast_max:
@@ -724,16 +685,7 @@ def negative_edges(edges, k: int, a_col: str = "src",
     ded = canonical_edges(edges, a_col, b_col).materialize()
     _guard(ded.count(), "distinct edges")
 
-    def both(t: pa.Table) -> pa.Table:
-        ids = np.unique(np.concatenate([
-            t["u"].to_numpy(zero_copy_only=False),
-            t["v"].to_numpy(zero_copy_only=False)]))
-        return pa.table({"node": pa.array(ids, type=pa.int64())})
-
-    nodes = ded.map_batches(both, batch_format="pyarrow") \
-        .groupby("node").aggregate(Count(alias_name="__c")) \
-        .map_batches(lambda t: t.select(["node"]),
-                     batch_format="pyarrow").materialize()
+    nodes = _nodes(ded, "u", "v").materialize()
     n = nodes.count()
     _guard(n, "nodes")
     nt = pa.concat_tables(

@@ -17,16 +17,14 @@ exact int64 (caller contract: ``|val| * (count + pseudo_count)`` must
 fit 2^53 if the consumer re-derives it in SQL doubles, int64 here).
 
 Scale shape:
-- ``group_prior``: per-batch Arrow group_by partials (one row per key
-  per batch) → one narrow grouped Sum shuffle bounded by keys × blocks
+- ``group_prior``: one ``shuffle.aggregate`` (count and sum per key)
   → ``shuffle.lookup`` maps the key table back onto the rows: up to
   ``broadcast_max`` keys it is broadcast once (rows never shuffle);
   beyond that rows and keys meet in hash buckets (the 100-TB path,
   equality-tested via ``broadcast_max=0``).
-- ``exact_nunique``: per-batch distinct (key, val) pairs → grouped
-  Count makes pairs globally distinct (ONE wide shuffle, pre-deduped
-  per batch) → per-block partial pair-counts per key → tiny grouped
-  Sum bounded by keys × blocks. The driver never holds values.
+- ``exact_nunique``: a keys-only ``shuffle.aggregate`` makes the
+  (key, val) pairs globally distinct → one more counts them per key.
+  The driver never holds values.
 """
 from __future__ import annotations
 
@@ -35,7 +33,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from prompture_ray.stages.shuffle import bound_blocks, lookup, partition_fold
+from prompture_ray.stages.shuffle import aggregate, lookup, partition_fold
 
 
 def group_prior(ds, key_col: str, val_col: str,
@@ -46,24 +44,8 @@ def group_prior(ds, key_col: str, val_col: str,
     ``val_col``), ``prior`` (one exact-int division, see module
     docstring) and ``above_prior`` (``val * (n_grp + pseudo_count) >
     sum_grp + pseudo_sum``, exact int64)."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.select([key_col, val_col]).group_by(key_col).aggregate(
-            [(val_col, "sum"), (val_col, "count")])
-        return pa.table({
-            key_col: g[key_col],
-            "__s": g[f"{val_col}_sum"].cast(pa.int64()),
-            "__n": g[f"{val_col}_count"].cast(pa.int64())})
-
-    # Ray groupby sort cost follows the INPUT block count (round-5
-    # pathology: a 1500-fragment corpus made this "tiny" grouped Sum
-    # 53x superlinear at 10x rows) — bound the narrow partial rows'
-    # block count first.
-    grouped = bound_blocks(ds.map_batches(partial, batch_format="pyarrow")) \
-        .groupby(key_col).aggregate(
-            Sum("__s", alias_name="sum_grp"),
-            Sum("__n", alias_name="n_grp")).materialize()
+    grouped = aggregate(ds, [key_col], sum_grp=("sum", val_col),
+                        n_grp=("count", val_col)).materialize()
 
     def annotate(t: pa.Table) -> pa.Table:
         if t[key_col].null_count:
@@ -90,33 +72,11 @@ def group_prior(ds, key_col: str, val_col: str,
 def exact_nunique(ds, key_col: str, val_col: str,
                   out_col: str = "n_distinct"):
     """Exact distinct ``val_col`` count per ``key_col`` value, as a
-    Dataset ``(key_col, out_col)``. Batches are pre-deduped before the
-    single wide shuffle; the second shuffle carries only per-block
-    per-key partial counts (keys × blocks rows).
-
-    ``shuffle.bound_blocks`` bounds the wide shuffle's input block count
-    (round-5 pathology: groupby sort cost follows input blocks — a
-    1500-fragment corpus measured 44x superlinear at 10x rows before
-    this coalesce, 9M→29s after)."""
-    from ray.data.aggregate import Count, Sum
-
-    def distinct_pairs(t: pa.Table) -> pa.Table:
-        g = t.select([key_col, val_col]).group_by(
-            [key_col, val_col]).aggregate([])
-        return g
-
-    pairs = bound_blocks(ds.map_batches(distinct_pairs,
-                                        batch_format="pyarrow")) \
-        .groupby([key_col, val_col]).aggregate(Count(alias_name="__c"))
-
-    def per_key_partial(t: pa.Table) -> pa.Table:
-        g = t.select([key_col]).group_by(key_col).aggregate(
-            [([], "count_all")])
-        return pa.table({key_col: g[key_col],
-                         "__p": g["count_all"].cast(pa.int64())})
-
-    return pairs.map_batches(per_key_partial, batch_format="pyarrow") \
-        .groupby(key_col).aggregate(Sum("__p", alias_name=out_col))
+    Dataset ``(key_col, out_col)``, unordered: one keys-only
+    ``shuffle.aggregate`` makes the distinct (key, value) pairs, and
+    one more counts them per key (a null value counts as one)."""
+    pairs = aggregate(ds, [key_col, val_col])
+    return aggregate(pairs, [key_col], **{out_col: ("count", None)})
 
 
 def grouped_outliers(ds, key_col: str, val_col: str, k: int = 3,
@@ -199,40 +159,18 @@ def group_diversity(ds, key_col: str, val_col: str):
     double division of exactly-representable ints (n² < 2^53 while a
     key holds < ~94M rows — document at the call site beyond that), so
     a SQL replay is bit-identical with no rounding. Scale shape: the
-    exact_nunique pattern — per-batch distinct-pair count partials,
-    ONE grouped Sum bounded by the (key, value) vocabulary, then
-    per-key partial folds of the squared counts (narrow rows only)."""
-    from ray.data.aggregate import Sum
+    exact_nunique pattern — one ``shuffle.aggregate`` counts each
+    (key, value) pair, one more sums the counts and their squares per
+    key (narrow rows only). Unordered."""
 
-    def pair_partial(t: pa.Table) -> pa.Table:
-        g = t.select([key_col, val_col]).group_by(
-            [key_col, val_col]).aggregate([([], "count_all")])
-        return pa.table({key_col: g[key_col], val_col: g[val_col],
-                         "__c": g["count_all"].cast(pa.int64())})
+    def squares(t: pa.Table) -> pa.Table:
+        return pa.table({key_col: t[key_col], "__c": t["__c"],
+                         "__s2": pc.multiply(t["__c"], t["__c"])})
 
-    counts = bound_blocks(ds.map_batches(pair_partial,
-                                         batch_format="pyarrow")) \
-        .groupby([key_col, val_col]).aggregate(Sum("__c",
-                                               alias_name="__c"))
-
-    def key_partial(t: pa.Table) -> pa.Table:
-        c = t["__c"].combine_chunks()
-        g = pa.table({
-            key_col: t[key_col], "__n": c,
-            "__s2": pc.multiply(c, c),
-            "__d": pa.array(np.ones(len(t), dtype=np.int64)),
-        }).group_by(key_col).aggregate(
-            [("__n", "sum"), ("__s2", "sum"), ("__d", "sum")])
-        return pa.table({key_col: g[key_col],
-                         "n": g["__n_sum"].cast(pa.int64()),
-                         "s2": g["__s2_sum"].cast(pa.int64()),
-                         "n_distinct": g["__d_sum"].cast(pa.int64())})
-
-    folded = counts.map_batches(key_partial, batch_format="pyarrow") \
-        .groupby(key_col).aggregate(Sum("n", alias_name="n"),
-                                    Sum("s2", alias_name="s2"),
-                                    Sum("n_distinct",
-                                        alias_name="n_distinct"))
+    counts = aggregate(ds, [key_col, val_col], __c=("count", None))
+    folded = aggregate(counts.map_batches(squares, batch_format="pyarrow"),
+                       [key_col], n=("sum", "__c"), s2=("sum", "__s2"),
+                       n_distinct=("count", None))
 
     def finish(t: pa.Table) -> pa.Table:
         n = t["n"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -350,12 +288,10 @@ def grouped_weighted_quantiles(ds, key_col: str, val_col: str,
 
     All arithmetic is exact int64 (weights must be non-negative ints;
     caller bound Σw·den < 2^63), so a SQL cumulative-window replay is
-    bit-identical. Scale shape: per-batch (key, value) weight-sum
-    partials → ONE grouped Sum shuffle bounded by the (key, value)
-    vocabulary → per-key vectorized cumulative selection inside
+    bit-identical. Scale shape: ONE ``shuffle.aggregate`` weight sum
+    per (key, value) → per-key vectorized cumulative selection inside
     hash(key) partitions (the grouped_quantiles pattern)."""
     from fractions import Fraction
-    from ray.data.aggregate import Sum
 
     fr = [Fraction(q).limit_denominator(10_000) for q in qs]
     for q, f in zip(qs, fr):
@@ -364,19 +300,14 @@ def grouped_weighted_quantiles(ds, key_col: str, val_col: str,
                              "not a small exact rational")
     names = [f"q_{int(round(float(q) * 100))}" for q in qs]
 
-    def pair_partial(t: pa.Table) -> pa.Table:
-        g = pa.table({
+    def weights(t: pa.Table) -> pa.Table:
+        return pa.table({
             key_col: t[key_col],
             val_col: t[val_col].combine_chunks().cast(pa.int64()),
-            "__w": t[weight_col].combine_chunks().cast(pa.int64()),
-        }).group_by([key_col, val_col]).aggregate([("__w", "sum")])
-        return pa.table({key_col: g[key_col], val_col: g[val_col],
-                         "__w": g["__w_sum"].cast(pa.int64())})
+            "__w": t[weight_col].combine_chunks().cast(pa.int64())})
 
-    pairs = bound_blocks(ds.map_batches(pair_partial,
-                                        batch_format="pyarrow")) \
-        .groupby([key_col, val_col]).aggregate(Sum("__w",
-                                               alias_name="__w"))
+    pairs = aggregate(ds.map_batches(weights, batch_format="pyarrow"),
+                      [key_col, val_col], __w=("sum", "__w"))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, val_col], kind="mergesort")

@@ -21,8 +21,9 @@ pairs, then ONE ``shuffle.partition_fold`` on the basket so every
 basket lands wholly in one bounded frame (a null basket pairs with
 nothing, as in a SQL self-join); per fold frame a single VECTORIZED
 pass (lexsort → group sizes → arithmetic pair expansion, never a frame
-or Python loop per basket) emits partial pair counts; the final fold is a
-grouped Sum over pair keys bounded by the pair vocabulary. Pair
+or Python loop per basket) emits the pair rows; ONE
+``shuffle.aggregate`` counts them per pair, bounded by the pair
+vocabulary. Pair
 expansion is quadratic in basket size by nature — ``max_basket_items``
 drops oversized baskets entirely (the standard cap in production
 miners, where one degenerate basket would emit billions of pairs) —
@@ -35,7 +36,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from prompture_ray.stages.shuffle import auto_n_parts, partition_fold
+from prompture_ray.stages.shuffle import (aggregate, auto_n_parts,
+                                          partition_fold)
 
 
 def pairs_within_sorted_groups(group_sizes: np.ndarray):
@@ -71,8 +73,6 @@ def frequent_pairs(ds, basket_col: str, item_col: str, *,
     counting ``ds``: cheap for a plain parquet read, a full run of a
     mapped or projected input, so pass ``n_parts`` for those (the
     registry query sizes it from its plain read)."""
-    from ray.data.aggregate import Sum
-
     nparts = n_parts or auto_n_parts(ds)
 
     def distinct(t: pa.Table) -> pa.Table:
@@ -95,17 +95,13 @@ def frequent_pairs(ds, basket_col: str, item_col: str, *,
             first = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
             sizes = np.diff(np.r_[first, len(b)])
         li, ri = pairs_within_sorted_groups(sizes)
-        out = pd.DataFrame({"item_a": it[li], "item_b": it[ri]}) \
-            .groupby(["item_a", "item_b"], sort=False) \
-            .size().rename("support").reset_index()
-        out["support"] = out["support"].astype("int64")
-        return out
+        return pd.DataFrame({"item_a": it[li], "item_b": it[ri]})
 
-    partials = partition_fold(
+    pairs = partition_fold(
         ds.map_batches(distinct, batch_format="pyarrow"),
         [basket_col], mine, n_parts=nparts)
-    folded = partials.groupby(["item_a", "item_b"]) \
-        .aggregate(Sum("support", alias_name="support"))
+    folded = aggregate(pairs, ["item_a", "item_b"],
+                       support=("count", None))
 
     def thresh(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

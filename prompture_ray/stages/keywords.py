@@ -16,17 +16,16 @@ Exactness: ``freq`` and ``deg`` are pure integer grouped sums and
 ``score`` is ONE correctly-rounded double division of exact small ints
 — bit-identical to a SQL replay (the tf/df precedent), no rounding.
 
-Scale shape: phrase segmentation and per-batch partial (word → freq,
-deg) aggregation happen inside ``map_batches`` (flattened-token numpy,
-one vectorized pandas groupby per batch); only the Heaps-small lexicon
-partials take ONE narrow grouped shuffle. Text never shuffles; no
-driver state.
+Scale shape: phrase segmentation happens inside ``map_batches``
+(flattened-token numpy) and emits one narrow (word, phrase length) row
+per token; ONE ``shuffle.aggregate`` folds them (its per-batch combine
+shrinks each batch to the Heaps-small lexicon first). Text never
+shuffles; no driver state.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from prompture_ray.stages.classify import _flat_tokens
@@ -42,16 +41,17 @@ def rake_word_scores(ds, text_col: str = "text", *,
     over occurrences) and ``score = deg / freq``. Words with
     ``freq < min_freq`` are dropped AFTER the global fold (the
     truncation is on exact global counts, not partials)."""
-    from ray.data.aggregate import Sum
+    from prompture_ray.stages.shuffle import aggregate
 
     stop = np.asarray(sorted(set(stopwords)), dtype=object)
+    empty = pa.table({"word": pa.array([], type=pa.string()),
+                      "p": pa.array([], type=pa.int64())})
 
-    def partial(t: pa.Table) -> pa.Table:
+    def phrase_words(t: pa.Table) -> pa.Table:
+        # one (word, enclosing-phrase length) row per non-stop token
         _, lens, flat = _flat_tokens(t, text_col, normalize)
         if not len(flat):
-            return pa.table({"word": pa.array([], type=pa.string()),
-                             "freq": pa.array([], type=pa.int64()),
-                             "deg": pa.array([], type=pa.int64())})
+            return empty
         # doc id per flattened token + stopword mask
         did = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
         is_stop = np.isin(flat, stop)
@@ -64,22 +64,14 @@ def rake_word_scores(ds, text_col: str = "text", *,
         pid = np.cumsum(is_stop | new_doc)
         keep = ~is_stop
         if not keep.any():
-            return pa.table({"word": pa.array([], type=pa.string()),
-                             "freq": pa.array([], type=pa.int64()),
-                             "deg": pa.array([], type=pa.int64())})
+            return empty
         kpid = pid[keep]
-        plen_by_pid = np.bincount(kpid)
-        plen = plen_by_pid[kpid]
-        g = pd.DataFrame({"w": flat[keep], "p": plen}) \
-            .groupby("w", sort=False)["p"].agg(["count", "sum"])
         return pa.table({
-            "word": pa.array(g.index.to_numpy(), type=pa.string()),
-            "freq": pa.array(g["count"].to_numpy().astype(np.int64)),
-            "deg": pa.array(g["sum"].to_numpy().astype(np.int64))})
+            "word": pa.array(flat[keep], type=pa.string()),
+            "p": pa.array(np.bincount(kpid)[kpid].astype(np.int64))})
 
-    folded = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("word").aggregate(Sum("freq", alias_name="freq"),
-                                   Sum("deg", alias_name="deg"))
+    folded = aggregate(ds.map_batches(phrase_words, batch_format="pyarrow"),
+                       ["word"], freq=("count", None), deg=("sum", "p"))
 
     def finish(t: pa.Table) -> pa.Table:
         f = t["freq"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -28,12 +28,12 @@ constants with Fraction + math.log, non-circularly).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from prompture_ray.functions.sketches import hash64
 from prompture_ray.stages.classify import _flat_tokens
+from prompture_ray.stages.shuffle import aggregate
 
 
 def _bigram_pairs(lens: np.ndarray, flat: np.ndarray):
@@ -49,51 +49,41 @@ def _bigram_pairs(lens: np.ndarray, flat: np.ndarray):
     return flat[:-1][valid], flat[1:][valid]
 
 
+def _pair_counts(ds, pairs):
+    """``(w1, w2, cnt)``: one ``shuffle.aggregate`` count of the token
+    pairs ``pairs(t)`` gives per batch as two object arrays (unordered).
+    """
+
+    def rows(t: pa.Table) -> pa.Table:
+        a, b = pairs(t)
+        return pa.table({"w1": pa.array(a, type=pa.string()),
+                         "w2": pa.array(b, type=pa.string())})
+
+    return aggregate(ds.map_batches(rows, batch_format="pyarrow"),
+                     ["w1", "w2"], cnt=("count", None))
+
+
 def bigram_counts(ds, text_col: str, normalize: bool = False):
-    """Distributed (w1, w2, cnt) within-document bigram counts: partial
-    combine per batch, then one narrow grouped shuffle of the lexicon-
-    sized partials. Oracle-checkable with a SQL GROUP BY."""
-    from ray.data.aggregate import Sum
+    """Distributed (w1, w2, cnt) within-document bigram counts: one
+    ``shuffle.aggregate`` count of the bigram rows. Oracle-checkable
+    with a SQL GROUP BY."""
 
-    def partial(t: pa.Table) -> pa.Table:
-        t, lens, flat = _flat_tokens(t, text_col, normalize)
-        prev, cur = _bigram_pairs(lens, flat)
-        if len(prev):
-            g = pd.DataFrame({"a": prev, "b": cur}) \
-                .groupby(["a", "b"], sort=False).size().reset_index()
-            w1 = g["a"].to_numpy()
-            w2 = g["b"].to_numpy()
-            c = g[0].to_numpy().astype(np.int64)
-        else:
-            w1 = w2 = np.empty(0, dtype=object)
-            c = np.empty(0, dtype=np.int64)
-        return pa.table({"w1": pa.array(w1, type=pa.string()),
-                         "w2": pa.array(w2, type=pa.string()),
-                         "cnt": pa.array(c)})
+    def bigrams(t: pa.Table):
+        _, lens, flat = _flat_tokens(t, text_col, normalize)
+        return _bigram_pairs(lens, flat)
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["w1", "w2"]).aggregate(Sum("cnt", alias_name="cnt"))
+    return _pair_counts(ds, bigrams)
 
 
 def unigram_counts(ds, text_col: str, normalize: bool = False):
     """Distributed (w, cnt) token counts — same shuffle shape."""
-    from ray.data.aggregate import Sum
 
-    def partial(t: pa.Table) -> pa.Table:
+    def tokens(t: pa.Table) -> pa.Table:
         _, _, flat = _flat_tokens(t, text_col, normalize)
-        if len(flat):
-            g = pd.DataFrame({"t": flat}).groupby("t", sort=False) \
-                .size().reset_index()
-            w = g["t"].to_numpy()
-            c = g[0].to_numpy().astype(np.int64)
-        else:
-            w = np.empty(0, dtype=object)
-            c = np.empty(0, dtype=np.int64)
-        return pa.table({"w": pa.array(w, type=pa.string()),
-                         "cnt": pa.array(c)})
+        return pa.table({"w": pa.array(flat, type=pa.string())})
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("w").aggregate(Sum("cnt", alias_name="cnt"))
+    return aggregate(ds.map_batches(tokens, batch_format="pyarrow"),
+                     ["w"], cnt=("count", None))
 
 
 def _collect(counts, cols):
@@ -114,33 +104,17 @@ def _collect(counts, cols):
 
 
 def _joint_counts(ds, text_col: str, normalize: bool):
-    """Unigram + bigram counts in ONE partial pass and ONE grouped
-    shuffle: unigram rows carry the empty-string sentinel in ``w2``
-    (whitespace tokens are never empty, so the namespaces can't
-    collide)."""
-    from ray.data.aggregate import Sum
+    """Unigram + bigram counts in ONE pass and ONE grouped shuffle:
+    unigram rows carry the empty-string sentinel in ``w2`` (whitespace
+    tokens are never empty, so the namespaces can't collide)."""
 
-    def partial(t: pa.Table) -> pa.Table:
-        t, lens, flat = _flat_tokens(t, text_col, normalize)
+    def joint(t: pa.Table):
+        _, lens, flat = _flat_tokens(t, text_col, normalize)
         prev, cur = _bigram_pairs(lens, flat)
-        a = np.concatenate([flat, prev]) if len(flat) else prev
-        b = np.concatenate([np.full(len(flat), "", dtype=object), cur]) \
-            if len(flat) else cur
-        if len(a):
-            g = pd.DataFrame({"a": a, "b": b}) \
-                .groupby(["a", "b"], sort=False).size().reset_index()
-            w1 = g["a"].to_numpy()
-            w2 = g["b"].to_numpy()
-            c = g[0].to_numpy().astype(np.int64)
-        else:
-            w1 = w2 = np.empty(0, dtype=object)
-            c = np.empty(0, dtype=np.int64)
-        return pa.table({"w1": pa.array(w1, type=pa.string()),
-                         "w2": pa.array(w2, type=pa.string()),
-                         "cnt": pa.array(c)})
+        return (np.concatenate([flat, prev]),
+                np.concatenate([np.full(len(flat), "", dtype=object), cur]))
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["w1", "w2"]).aggregate(Sum("cnt", alias_name="cnt"))
+    return _pair_counts(ds, joint)
 
 
 def train_bigram_lm(ds, text_col: str, alpha: float = 1.0,
@@ -393,39 +367,25 @@ def skipgram_counts(ds, text_col: str = "text", window: int = 4,
     window offsets are ``window`` vectorized shifted-zip passes over
     the flattened token stream (doc boundaries masked by a cumulative
     ends test, the bigram kernel generalized), combined into batch
-    partials; the grouped Sum is bounded by the pair lexicon (Heaps ×
-    window). min_count filters AFTER the fold, distributed."""
-    from ray.data.aggregate import Sum
-    from prompture_ray.stages.shuffle import bound_blocks
+    pairs; one ``shuffle.aggregate`` counts them, bounded by the pair
+    lexicon (Heaps × window). min_count filters AFTER the fold,
+    distributed."""
 
-    def partial(t: pa.Table) -> pa.Table:
-        t, lens, flat = _flat_tokens(t, text_col, normalize)
+    def window_pairs(t: pa.Table):
+        _, lens, flat = _flat_tokens(t, text_col, normalize)
         total = len(flat)
         doc_id = np.repeat(np.arange(len(lens)), lens)
-        lefts, rights = [], []
+        lefts = [np.empty(0, dtype=object)]
+        rights = [np.empty(0, dtype=object)]
         for d in range(1, window + 1):
             if total <= d:
                 break
             same = doc_id[:-d] == doc_id[d:]
             lefts.append(flat[:-d][same])
             rights.append(flat[d:][same])
-        if lefts:
-            a = np.concatenate(lefts)
-            b = np.concatenate(rights)
-            g = pd.DataFrame({"a": a, "b": b}) \
-                .groupby(["a", "b"], sort=False).size().reset_index()
-            w1 = g["a"].to_numpy()
-            w2 = g["b"].to_numpy()
-            c = g[0].to_numpy().astype(np.int64)
-        else:
-            w1 = w2 = np.empty(0, dtype=object)
-            c = np.empty(0, dtype=np.int64)
-        return pa.table({"w1": pa.array(w1, type=pa.string()),
-                         "w2": pa.array(w2, type=pa.string()),
-                         "cnt": pa.array(c)})
+        return np.concatenate(lefts), np.concatenate(rights)
 
-    folded = bound_blocks(ds.map_batches(partial, batch_format="pyarrow")) \
-        .groupby(["w1", "w2"]).aggregate(Sum("cnt", alias_name="cnt"))
+    folded = _pair_counts(ds, window_pairs)
     if min_count <= 1:
         return folded
     return folded.map_batches(

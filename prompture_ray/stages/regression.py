@@ -17,10 +17,10 @@ SQL replay of the same sums is bit-identical with no rounding
 anywhere. Degenerate keys (all x equal → den = 0) are dropped,
 mirroring SQL ``HAVING den <> 0``.
 
-Scale shape: per-batch Arrow group_by moment partials (one row per
-key per batch) → ONE narrow grouped Sum shuffle bounded by
-keys × blocks → a vectorized finish map. Rows never shuffle; the
-driver holds nothing.
+Scale shape: per-row moment terms → ONE ``shuffle.aggregate`` (its
+per-batch combine leaves one row per key per batch to shuffle) → a
+vectorized finish map. Rows never shuffle whole; the driver holds
+nothing.
 """
 
 from __future__ import annotations
@@ -34,29 +34,18 @@ def grouped_ols(ds, key_col: str, x_col: str, y_col: str):
     """Dataset ``(key, n, sx, sy, sxy, sxx, slope, intercept)`` — the
     per-key least-squares line through the integer points. See module
     docstring for the exactness contract."""
-    from ray.data.aggregate import Sum
-    from prompture_ray.stages.shuffle import bound_blocks
+    from prompture_ray.stages.shuffle import aggregate
 
-    def partial(t: pa.Table) -> pa.Table:
+    def terms(t: pa.Table) -> pa.Table:
         x = t[x_col].combine_chunks().cast(pa.int64())
         y = t[y_col].combine_chunks().cast(pa.int64())
-        g = pa.table({
-            key_col: t[key_col],
-            "__n": pa.array(np.ones(len(t), dtype=np.int64)),
-            "__sx": x, "__sy": y,
-            "__sxy": pc.multiply(x, y),
-            "__sxx": pc.multiply(x, x),
-        }).group_by(key_col).aggregate(
-            [("__n", "sum"), ("__sx", "sum"), ("__sy", "sum"),
-             ("__sxy", "sum"), ("__sxx", "sum")])
-        return pa.table({key_col: g[key_col]} | {
-            c: g[f"__{c}_sum"].cast(pa.int64())
-            for c in ("n", "sx", "sy", "sxy", "sxx")})
+        return pa.table({key_col: t[key_col], "x": x, "y": y,
+                         "xy": pc.multiply(x, y), "xx": pc.multiply(x, x)})
 
-    folded = bound_blocks(ds.map_batches(partial, batch_format="pyarrow")) \
-        .groupby(key_col).aggregate(
-            *[Sum(c, alias_name=c)
-              for c in ("n", "sx", "sy", "sxy", "sxx")])
+    folded = aggregate(ds.map_batches(terms, batch_format="pyarrow"),
+                       [key_col], n=("count", None), sx=("sum", "x"),
+                       sy=("sum", "y"), sxy=("sum", "xy"),
+                       sxx=("sum", "xx"))
 
     def finish(t: pa.Table) -> pa.Table:
         n = t["n"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -7,17 +7,17 @@ per-column, then suite totals — prompture/cli/formatters.py:8
 ``format_table`` folds the same counts at three levels). Generalized
 to SQL ``GROUP BY ROLLUP`` / ``CUBE`` semantics over a Dataset.
 
-Scale shape: a per-batch pandas partial emits (sum, count) rows for ALL
-levels at once (rolled-up dimensions take the ``__all__`` sentinel), so
-the data is scanned once and only tiny partial rows enter the single
-grouped shuffle — the map-side-combine discipline every wide aggregate
-in this repo follows. Levels don't multiply the shuffle: level-l
-partials are bounded by the level-l group count per batch, and the
-sentinel keys keep every level in ONE groupby.
+Scale shape: each batch is expanded to one row per level (rolled-up
+dimensions take the ``__all__`` sentinel), so the data is scanned once,
+and ONE ``shuffle.aggregate`` sums them: its per-batch combine shrinks
+every level to its group count before the shuffle, so levels don't
+multiply the shuffle, and the sentinel keys keep every level in ONE
+grouped aggregate. Output rows are unordered.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 
 ALL = "__all__"
@@ -28,33 +28,16 @@ def _grouping_set_aggregate(ds, dims: list[str], value_col: str,
     """Sum + count of ``value_col`` at every grouping set in ``sets``.
     Dimension columns are cast to string (the sentinel lives in the
     same column); output columns: dims..., total, n."""
-    from ray.data.aggregate import Sum
+    from prompture_ray.stages.shuffle import aggregate
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        for d in dims:
-            b[d] = b[d].astype(str)
-        outs = []
-        for keys in sets:
-            keys = list(keys)
-            if keys:
-                g = b.groupby(keys, sort=False)[value_col] \
-                    .agg(total="sum", n="count").reset_index()
-            else:
-                g = pd.DataFrame({"total": [b[value_col].sum()],
-                                  "n": [len(b)]})
-            for d in dims:
-                if d not in keys:
-                    g[d] = ALL
-            outs.append(g[dims + ["total", "n"]])
-        out = pd.concat(outs, ignore_index=True)
-        out["total"] = out["total"].astype("int64")
-        out["n"] = out["n"].astype("int64")
-        return out
+    def levels(b: pd.DataFrame) -> pd.DataFrame:
+        b = b[dims + [value_col]].astype({d: str for d in dims})
+        return pd.concat([b.assign(**{d: ALL for d in dims
+                                      if d not in keys})
+                          for keys in sets], ignore_index=True)
 
-    return ds.map_batches(partial, batch_format="pandas") \
-        .groupby(dims).aggregate(Sum("total", alias_name="total"),
-                                 Sum("n", alias_name="n"))
+    return aggregate(ds.map_batches(levels, batch_format="pandas"), dims,
+                     total=("sum", value_col), n=("count", value_col))
 
 
 def rollup_aggregate(ds, dims: list[str], value_col: str):
@@ -75,42 +58,39 @@ def pivot_counts(ds, key_col: str, cat_col: str, categories: list[str],
     IS its category count, so an unbounded domain is a schema explosion
     no engine should guess at.
 
-    Scale shape: per-batch pandas partial (one row per key per batch,
-    all category columns at once — the rollup sentinel discipline),
-    bounded by ``shuffle.bound_blocks`` (groupby sort cost follows
-    input block count), then ONE grouped Sum over the narrow partial
-    rows. Rows never shuffle; the wide table never
-    materializes on the driver."""
-    from ray.data.aggregate import Sum
-    from prompture_ray.stages.shuffle import bound_blocks
+    Scale shape: each row becomes one narrow wide row (its value, or 1,
+    in its category's column and 0 in the others), and ONE
+    ``shuffle.aggregate`` sums the columns per key (a null key is its
+    own row). Rows never shuffle whole; the wide table never
+    materializes on the driver. Output rows are unordered."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    from prompture_ray.stages.shuffle import aggregate
 
     categories = list(categories)
     names = [f"{prefix}{c}" for c in categories]
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        vals = b[value_col] if value_col is not None \
-            else pd.Series(1, index=b.index)
-        wide = pd.DataFrame({key_col: b[key_col]})
-        cat = b[cat_col]
+    def cells(t: pa.Table) -> pa.Table:
+        vals = pa.array(np.ones(t.num_rows, dtype=np.int64)) \
+            if value_col is None \
+            else pc.cast(t[value_col], pa.int64()).fill_null(0)
+        cols = {key_col: t[key_col]}
         for c, name in zip(categories, names):
-            m = (cat == c)
-            wide[name] = vals.where(m, 0)
-        g = wide.groupby(key_col, sort=False)[names].sum().reset_index()
-        for name in names:
-            g[name] = g[name].astype("int64")
-        return g
+            hit = pc.fill_null(pc.equal(t[cat_col], c), False)
+            cols[name] = pc.if_else(hit, vals, 0)
+        return pa.table(cols)
 
-    return bound_blocks(ds.map_batches(partial, batch_format="pandas")) \
-        .groupby(key_col).aggregate(
-            *[Sum(name, alias_name=name) for name in names])
+    return aggregate(ds.map_batches(cells, batch_format="pyarrow"),
+                     [key_col], **{name: ("sum", name) for name in names})
 
 
 def cube_aggregate(ds, dims: list[str], value_col: str):
     """SQL ``GROUP BY CUBE`` — every subset of ``dims`` (2^d grouping
-    sets). Same one-pass sentinel-keyed partial discipline as ROLLUP:
-    the per-batch partial emits rows for all subsets at once, so the
-    subset count multiplies only the (tiny) partial rows entering the
-    single grouped shuffle, never the data scan count."""
+    sets). Same one-pass sentinel-keyed discipline as ROLLUP: each
+    batch expands to rows for all subsets at once, and
+    ``shuffle.aggregate``'s per-batch combine shrinks them before its
+    single shuffle, so the subset count never multiplies the data scan
+    count."""
     sets: list[tuple[str, ...]] = [()]
     for d in dims:
         sets += [s + (d,) for s in sets]

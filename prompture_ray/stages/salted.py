@@ -10,8 +10,8 @@ commutative/associative aggregate set; here count/sum/min/max.
 Skew-mitigation by key-splitting follows the approach of FP-Hadoop
 (VLDB 2015, see PAPERS.md) adapted to Ray Data two-phase aggregation.
 
-This composes with the partial-per-batch combiner: batches already
-pre-aggregate, so phase 1's shuffle moves at most
+This composes with ``shuffle.aggregate``'s per-batch combine: batches
+already pre-aggregate, so phase 1's shuffle moves at most
 ``distinct_keys × S × blocks`` rows.
 """
 
@@ -20,31 +20,21 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from prompture_ray.stages.shuffle import aggregate
+
 
 def salted_groupby_stats(ds, key: str, value: str, n_salt: int = 8):
-    """(key, n, sum_v, min_v, max_v) via salted two-phase aggregation."""
-    from ray.data.aggregate import Count, Max, Min, Sum
+    """(key, n, sum_v, min_v, max_v) via salted two-phase aggregation
+    (two ``shuffle.aggregate`` calls; unordered)."""
 
-    def phase1_partial(t: pa.Table) -> pa.Table:
-        # per-batch combine, salt assigned per batch-row position so a hot
-        # key inside one batch still spreads across salts deterministically
+    def salted(t: pa.Table) -> pa.Table:
+        # salt assigned per batch-row position so a hot key inside one
+        # batch still spreads across salts deterministically
         salt = pa.array(np.arange(t.num_rows, dtype=np.int64) % n_salt)
-        g = pa.table({key: t[key], "salt": salt, value: t[value]}) \
-            .group_by([key, "salt"]).aggregate([
-                (value, "count"), (value, "sum"),
-                (value, "min"), (value, "max")])
-        return g.rename_columns([key, "salt", "n", "s", "mn", "mx"])
+        return pa.table({key: t[key], "salt": salt, value: t[value]})
 
-    phase1 = ds.map_batches(phase1_partial, batch_format="pyarrow") \
-        .groupby([key, "salt"]).aggregate(
-            Sum("n", alias_name="n"), Sum("s", alias_name="s"),
-            Min("mn", alias_name="mn"), Max("mx", alias_name="mx"))
-
-    phase2 = phase1.groupby(key).aggregate(
-        Sum("n", alias_name="n"), Sum("s", alias_name="sum_v"),
-        Min("mn", alias_name="min_v"), Max("mx", alias_name="max_v"))
-
-    def final(t: pa.Table) -> pa.Table:
-        return t.select([key, "n", "sum_v", "min_v", "max_v"])
-
-    return phase2.map_batches(final, batch_format="pyarrow")
+    phase1 = aggregate(ds.map_batches(salted, batch_format="pyarrow"),
+                       [key, "salt"], n=("count", value), s=("sum", value),
+                       mn=("min", value), mx=("max", value))
+    return aggregate(phase1, [key], n=("sum", "n"), sum_v=("sum", "s"),
+                     min_v=("min", "mn"), max_v=("max", "mx"))

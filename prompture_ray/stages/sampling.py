@@ -206,7 +206,8 @@ def domain_mix_weights(ds, domain_col: str, id_col: str,
     ``None`` = uniform over the observed domains (1/K each). Domains
     absent from ``targets`` get weight 0.0 (dropped from the mix).
 
-    Shape: ONE narrow groupby count (domain lexicon is Heaps-small),
+    Shape: ONE ``shuffle.aggregate`` count (domain lexicon is
+    Heaps-small),
     weight map broadcast once via ``ray.put``, per-doc attach is a pure
     map (sorted-hash ``searchsorted``). Exactness: each weight is a
     SINGLE division of exact integers ``(num·N)/(den·n_d)`` — the
@@ -214,12 +215,13 @@ def domain_mix_weights(ds, domain_col: str, id_col: str,
     IEEE-exactness trick)."""
     import ray
     from prompture_ray.functions.sketches import hash64
+    from prompture_ray.stages.shuffle import aggregate
 
-    counts = ds.groupby(domain_col).count().materialize()
+    counts = aggregate(ds, [domain_col], n=("count", None)).materialize()
     doms, ns = [], []
     for t in counts.iter_batches(batch_format="pyarrow"):
         doms.append(np.asarray(t[domain_col].to_pylist(), dtype=object))
-        ns.append(t["count()"].to_numpy(zero_copy_only=False))
+        ns.append(t["n"].to_numpy(zero_copy_only=False))
     dom = np.concatenate(doms) if doms else np.empty(0, dtype=object)
     n_d = (np.concatenate(ns) if ns else np.empty(0)).astype(np.int64)
     N, K = int(n_d.sum()), len(dom)
@@ -352,8 +354,8 @@ def assign_shards(ds, id_col: str, n_shards: int,
     Scale shape: rank needs cross-block coordination — it costs ONE
     narrow shuffle of the rows, which a shard writer pays anyway to
     co-locate shards. A cell = (shard, h >> shift) with
-    ~``cells_per_shard`` cells per shard: per-batch partial counts fold
-    into the distinct-cell table (bounded by n_shards × cells_per_shard
+    ~``cells_per_shard`` cells per shard: one ``shuffle.aggregate``
+    count makes the distinct-cell table (bounded by n_shards × cells_per_shard
     rows, independent of corpus size), its per-shard exclusive prefix
     is broadcast as sorted arrays, rows shuffle once in a
     ``partition_fold`` on the cell, and each fold frame ranks all its
@@ -362,8 +364,7 @@ def assign_shards(ds, id_col: str, n_shards: int,
     runs)."""
     import pandas as pd
     import ray
-    from ray.data.aggregate import Sum
-    from prompture_ray.stages.shuffle import partition_fold
+    from prompture_ray.stages.shuffle import aggregate, partition_fold
 
     shift = max(0, 32 - int(np.ceil(np.log2(max(cells_per_shard, 2)))))
     n_hb = np.int64(1) << np.int64(32 - shift)
@@ -374,17 +375,12 @@ def assign_shards(ds, id_col: str, n_shards: int,
         hb = (h >> np.uint64(shift)).astype(np.int64)
         return h.astype(np.int64), shard, shard * n_hb + hb
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cell_rows(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        _, _, cell = _cells(ids)
-        u, c = np.unique(cell, return_counts=True)
-        return pa.table({"cell": pa.array(u, type=pa.int64()),
-                         "c": pa.array(c.astype(np.int64),
-                                       type=pa.int64())})
+        return pa.table({"cell": pa.array(_cells(ids)[2], type=pa.int64())})
 
-    cells = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("cell").aggregate(Sum("c", alias_name="c")) \
-        .materialize()
+    cells = aggregate(ds.map_batches(cell_rows, batch_format="pyarrow"),
+                      ["cell"], c=("count", None)).materialize()
     cdf = cells.to_pandas().sort_values("cell", ignore_index=True)
     cell_ids = cdf["cell"].to_numpy().astype(np.int64)
     c = cdf["c"].to_numpy().astype(np.int64)

@@ -46,8 +46,8 @@ import pyarrow.compute as pc
 
 from prompture_ray.functions.sketches import hash64
 from prompture_ray.stages.itemsets import pairs_within_sorted_groups
-from prompture_ray.stages.shuffle import (bound_blocks, partition_fold,
-                                          target_blocks)
+from prompture_ray.stages.shuffle import (aggregate, bound_blocks,
+                                          partition_fold, target_blocks)
 
 _EMPTY_PAIRS = pd.DataFrame({
     "a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"),
@@ -155,10 +155,8 @@ def _df_lexicon(posts, broadcast_max: int):
     order key is a function of ``th`` alone, so it stays consistent
     across docs and the prefix theorem holds regardless."""
     import ray
-    from ray.data.aggregate import Count
 
-    dft = posts.groupby("th").aggregate(Count(alias_name="df")) \
-        .materialize()
+    dft = aggregate(posts, ["th"], df=("count", None)).materialize()
     if dft.count() > broadcast_max:
         return None
     lt = _collect(dft, ["th", "df"])

@@ -14,6 +14,18 @@ partitions of a sorted block, the null-key partition always alone
 ``aggregate`` combines each batch with one Arrow ``group_by`` and
 merges the partials in a ``partition_fold`` with one more per fold
 frame, where Ray's ``groupby().aggregate`` walks every row in Python.
+It is the one keyed grouped aggregate of the package
+(``tests/test_shuffle.py::test_keyed_aggregates_only_through_shuffle``):
+the report queries and ``table_checks``; the node sets, degrees and
+per-node sums of ``graph``; the document frequencies and lexicons of
+``tfidf``, ``dedup``, ``setjoin``, ``text_index``, ``textstats``,
+``lm``, ``bpe``, ``classify``, ``keywords`` and ``dsir``; the group
+statistics of ``groupstats``, ``rollup``, ``salted``, ``windows``,
+``userpath``, ``regression``, ``evalmetrics``, ``stats``,
+``analytic`` and ``consensus``; and the per-hash counts and minima of
+``dedup_index``, ``boilerplate``, ``cdc_chunks``, ``diff``,
+``sampling``, ``itemsets`` and ``functions/urlnorm``. A site projects
+or derives its rows and leaves the combine to ``aggregate``.
 Also built on ``partition_fold``: the per-key window and group-stat
 folds (``analytic``, ``windows``, ``groupstats``, ``intervals``,
 ``userpath``, ``itemsets``) and every hash-bucket fold of the
@@ -64,8 +76,9 @@ before a coalesce). An input with more than twice
 ``target_blocks(rows) = max(64, ceil(rows / 500k))`` blocks is coalesced
 to that many; any other input is left as it is, so a two-block table is
 never split into a hundred tiny blocks before a sort. Every fold runs
-its tagged input through it (``_fold_partitions``), and the Ray
-groupbys and per-round tables of ``stages/`` call it directly.
+its tagged input through it (``_fold_partitions``), so every
+``aggregate``, ``cogroup`` and ``join`` gets it too, and the per-round
+tables of ``stages/`` call it directly.
 
 Lookup rule (``lookup``): a row matches the table row whose key equals
 its own: the probe finds the candidate by key hash (``key_hash``, the

@@ -299,36 +299,27 @@ def leading_digit_counts(ds, val_col: str, group_col: str | None = None):
     a synthetic-vs-organic volume column shows up as a flat (non-
     logarithmic) digit histogram.
 
-    Scale shape: per-batch partial (group, digit) counts inside
-    map_batches (Arrow cast + utf8_slice_codeunits, fully vectorized);
-    ONE narrow grouped shuffle of ≤ 9·|groups| partial rows; the
-    per-group normalization folds the tiny count table itself."""
-    from ray.data.aggregate import Sum
+    Scale shape: per-row (group, digit) keys inside map_batches (Arrow
+    cast + utf8_slice_codeunits, fully vectorized); ONE
+    ``shuffle.aggregate`` count of ≤ 9·|groups| groups; the per-group
+    normalization folds the tiny count table itself."""
+    from prompture_ray.stages.shuffle import aggregate
 
-    def partial(t: pa.Table) -> pa.Table:
+    def digits(t: pa.Table) -> pa.Table:
         v = t[val_col]
-        if isinstance(v, pa.ChunkedArray):
-            v = v.combine_chunks()
         pos = pc.greater(v, 0)
-        v = v.filter(pos)
-        digit = pc.utf8_slice_codeunits(v.cast(pa.string()), 0, 1)
-        cols = {"digit": digit}
         if group_col is not None:
-            g = t[group_col]
-            if isinstance(g, pa.ChunkedArray):
-                g = g.combine_chunks()
-            cols["grp"] = g.filter(pos)
-        df = pa.table(cols).to_pandas()
-        keys = (["grp", "digit"] if group_col is not None
-                else ["digit"])
-        out = df.groupby(keys, sort=False).size().rename("cnt") \
-            .reset_index()
-        out["cnt"] = out["cnt"].astype("int64")
-        return pa.Table.from_pandas(out, preserve_index=False)
+            # a null group is not counted
+            pos = pc.and_(pos, pc.is_valid(t[group_col]))
+        cols = {"digit": pc.utf8_slice_codeunits(
+            v.filter(pos).cast(pa.string()), 0, 1)}
+        if group_col is not None:
+            cols = {"grp": t[group_col].filter(pos), **cols}
+        return pa.table(cols)
 
     keys = ["grp", "digit"] if group_col is not None else ["digit"]
-    counts = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(keys).aggregate(Sum("cnt", alias_name="cnt"))
+    counts = aggregate(ds.map_batches(digits, batch_format="pyarrow"),
+                       keys, cnt=("count", None))
 
     def probs(g):
         tot = int(g["cnt"].sum())
@@ -373,10 +364,9 @@ def reference_rank(ds, val_col: str, ref_ds, ref_col: str, *,
     every probe batch pays one searchsorted. Probe rows never
     shuffle."""
     import ray
-    from ray.data.aggregate import Count
+    from prompture_ray.stages.shuffle import aggregate
 
-    dist = ref_ds.groupby(ref_col).aggregate(Count(alias_name="c")) \
-        .materialize()
+    dist = aggregate(ref_ds, [ref_col], c=("count", None)).materialize()
     n_cells = dist.count()
     if n_cells > broadcast_max:
         raise ValueError(

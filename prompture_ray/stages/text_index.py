@@ -38,6 +38,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from prompture_ray.functions.sketches import hash64
+from prompture_ray.stages.shuffle import aggregate
 from prompture_ray.stages.similarity import bm25_tokenize
 
 
@@ -237,8 +238,6 @@ def _refresh_derived(index_dir: str, n_buckets: int, id_col: str) -> dict:
     written postings (the corpus is never re-tokenized), excluding
     generation-dead docs so BM25 statistics stay exact after removals
     AND updates."""
-    from ray.data.aggregate import Count
-
     tomb = _tombstones(index_dir)
     dirs = _live_bucket_dirs(index_dir)
     doc_paths = sorted(glob.glob(os.path.join(dirs.get(-1, "__none__"),
@@ -253,8 +252,8 @@ def _refresh_derived(index_dir: str, n_buckets: int, id_col: str) -> dict:
     df_dir = os.path.join(index_dir, "df")
     shutil.rmtree(df_dir, ignore_errors=True)
     if post_paths:
-        df_tbl = _read_live(post_paths, ["term", "doc_id"], tomb) \
-            .groupby("term").aggregate(Count(alias_name="df"))
+        df_tbl = aggregate(_read_live(post_paths, ["term", "doc_id"], tomb),
+                           ["term"], df=("count", None))
         df_tbl.write_parquet(df_dir)
 
     meta = {"n_docs": int(n_docs), "total_len": total_len,
@@ -458,10 +457,8 @@ def text_index_search(index_dir: str, query: str, k: int = 10,
         return pa.table({"doc_id": t["doc_id"],
                          "s": pa.array(s, type=pa.float64())})
 
-    from ray.data.aggregate import Sum
-    scored = post.map_batches(score, batch_format="pyarrow") \
-        .groupby("doc_id").aggregate(Sum("s", alias_name="bm25")) \
-        .to_pandas()
+    scored = aggregate(post.map_batches(score, batch_format="pyarrow"),
+                       ["doc_id"], bm25=("sum", "s")).to_pandas()
     if scored.empty:
         return empty
     scored = scored[scored["bm25"] > 0.0]
@@ -488,7 +485,6 @@ def text_index_phrase_search(index_dir: str, phrase: str, docs_ds,
     time). Returns (id, n_occ) for docs with >= 1 occurrence."""
     import ray
     import ray.data as rd
-    from ray.data.aggregate import Count
 
     with open(os.path.join(index_dir, "meta.json")) as f:
         meta = json.load(f)
@@ -513,10 +509,10 @@ def text_index_phrase_search(index_dir: str, phrase: str, docs_ds,
         keep = pc.is_valid(pc.index_in(t["term"], value_set=term_arr))
         return t.filter(keep).select(["doc_id", "term"])
 
-    hits = _read_live(paths, ["term", "doc_id"],
-                      _tombstones(index_dir)) \
-        .map_batches(hit_rows, batch_format="pyarrow") \
-        .groupby("doc_id").aggregate(Count(alias_name="nt"))
+    hits = aggregate(_read_live(paths, ["term", "doc_id"],
+                                _tombstones(index_dir))
+                     .map_batches(hit_rows, batch_format="pyarrow"),
+                     ["doc_id"], nt=("count", None))
     cand = np.sort(np.concatenate(
         [t.filter(pc.equal(t["nt"], len(uniq)))["doc_id"]
          .to_numpy(zero_copy_only=False).astype(np.int64)

@@ -125,25 +125,15 @@ def add_quality_score(ds, text_col: str = "text",
 
 def filter_stats(ds_with_reasons) -> dict:
     """``dropped_by_reason`` rollup (FilterStats.to_dict shape,
-    reference filters.py:185-192) via partial counts + groupby-sum."""
-    from ray.data.aggregate import Sum
+    reference filters.py:185-192) via one ``shuffle.aggregate`` row
+    count per reason; the null reason (kept rows) is its own group."""
+    from prompture_ray.stages.shuffle import aggregate
 
-    def partial(t: pa.Table) -> pa.Table:
-        reasons = t["drop_reason"].drop_null()
-        vc = reasons.value_counts() if len(reasons) else None
-        total = pa.table({
-            "reason": pa.array(["__total__"], type=pa.string()),
-            "n": pa.array([t.num_rows], type=pa.int64())})
-        if vc is None or len(vc) == 0:
-            return total
-        return pa.concat_tables([total, pa.table({
-            "reason": vc.field("values"),
-            "n": pc.cast(vc.field("counts"), pa.int64())})])
-
-    agg = ds_with_reasons.map_batches(partial, batch_format="pyarrow") \
-        .groupby("reason").aggregate(Sum("n", alias_name="n")).to_pandas()
-    d = dict(zip(agg["reason"], agg["n"].astype(int)))
-    total_in = d.pop("__total__", 0)
+    agg = aggregate(ds_with_reasons, ["drop_reason"], n=("count", None)) \
+        .to_pandas()
+    d = {r: int(n) for r, n in zip(agg.get("drop_reason", ()),
+                                   agg.get("n", ())) if isinstance(r, str)}
+    total_in = int(agg["n"].sum()) if len(agg) else 0
     dropped = sum(d.values())
     return {"total_in": int(total_in), "total_out": int(total_in - dropped),
             "dropped_by_reason": {k: int(v) for k, v in sorted(d.items())},
@@ -376,24 +366,23 @@ def corpus_frequency_score(ds, text_col: str = "text",
     are bit-identical with no rounding.
 
     Shape: token rows (id, hash64(token)) → lexicon = grouped counts
-    (one narrow shuffle of 8-byte hashes). ``shuffle.lookup`` attaches
-    each token's corpus count — broadcast up to ``broadcast_max``
-    lexicon entries (Heaps' law keeps the unique-token count far below
-    the corpus token count), hash buckets beyond (the 100-TB path) —
-    and each batch folds per-doc partials locally: ONE narrow shuffle
-    of partial rows. Nothing corpus-sized on the driver; N_corpus is
-    the only driver scalar.
+    (one narrow ``shuffle.aggregate`` of 8-byte hashes).
+    ``shuffle.lookup`` attaches each token's corpus count — broadcast up
+    to ``broadcast_max`` lexicon entries (Heaps' law keeps the
+    unique-token count far below the corpus token count), hash buckets
+    beyond (the 100-TB path) — and one more ``shuffle.aggregate`` sums
+    them per doc. Nothing corpus-sized on the driver; N_corpus is the
+    only driver scalar.
     """
     import pandas as pd
-    from ray.data.aggregate import Count, Sum
     from prompture_ray.stages.dedup import _token_ngram_rows
-    from prompture_ray.stages.shuffle import lookup
+    from prompture_ray.stages.shuffle import aggregate, lookup
 
     toks = _token_ngram_rows(ds, text_col, id_col, n=1,
                              normalize=False).materialize()
     n_corpus = toks.count()
-    lexicon = toks.groupby("gram").aggregate(
-        Count(alias_name="tok_count")).materialize()
+    lexicon = aggregate(toks, ["gram"],
+                        tok_count=("count", None)).materialize()
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()
@@ -402,23 +391,11 @@ def corpus_frequency_score(ds, text_col: str = "text",
         b["score"] = b["count_sum"] / (b["n_tokens"] * n_corpus)
         return b[["id", "count_sum", "n_tokens", "score"]]
 
-    def partial(t: pa.Table) -> pa.Table:
-        # every token is in the lexicon by construction
-        df = pd.DataFrame({
-            "id": t["id"].to_numpy(zero_copy_only=False),
-            "c": t["tok_count"].to_numpy(zero_copy_only=False)})
-        agg = df.groupby("id", sort=False)["c"].agg(["sum", "size"])
-        return pa.table({
-            "id": pa.array(agg.index.to_numpy(), type=pa.int64()),
-            "count_sum": pa.array(agg["sum"].to_numpy(), type=pa.int64()),
-            "n_tokens": pa.array(agg["size"].to_numpy(), type=pa.int64())})
-
-    per_doc = lookup(toks, lexicon, ["gram"], ["tok_count"],
-                     broadcast_max=broadcast_max, n_buckets=n_buckets) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("id").aggregate(
-            Sum("count_sum", alias_name="count_sum"),
-            Sum("n_tokens", alias_name="n_tokens"))
+    # every token is in the lexicon by construction
+    per_doc = aggregate(
+        lookup(toks, lexicon, ["gram"], ["tok_count"],
+               broadcast_max=broadcast_max, n_buckets=n_buckets),
+        ["id"], count_sum=("sum", "tok_count"), n_tokens=("count", None))
     return per_doc.map_batches(finish, batch_format="pandas")
 
 

@@ -34,6 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from prompture_ray.functions.sketches import hash64
+from prompture_ray.stages.shuffle import aggregate
 
 
 def _postings(t: pa.Table, text_col: str, id_col: str):
@@ -67,6 +68,21 @@ def _postings(t: pa.Table, text_col: str, id_col: str):
     return ids, uc // nv, vocab[uc % nv], counts.astype(np.int64)
 
 
+def _lexicon(ds, text_col: str, id_col: str):
+    """Document frequency per term hash: ``(gram, df)``, one row per
+    distinct term, unordered."""
+
+    def df_rows(t: pa.Table) -> pa.Table:
+        _, _, terms, _ = _postings(t, text_col, id_col)
+        return pa.table({"gram": pa.array(hash64(terms).astype(np.int64)
+                                          if len(terms) else
+                                          np.empty(0, np.int64),
+                                          type=pa.int64())})
+
+    return aggregate(ds.map_batches(df_rows, batch_format="pyarrow"),
+                     ["gram"], df=("count", None))
+
+
 def tfidf_topk_terms(ds, text_col: str = "text", id_col: str = "doc_id",
                      k: int = 3, n_buckets: int = 32,
                      broadcast_max: int = 20_000_000):
@@ -77,18 +93,8 @@ def tfidf_topk_terms(ds, text_col: str = "text", id_col: str = "doc_id",
     """
     import pandas as pd
     import ray
-    from ray.data.aggregate import Count
 
-    def df_rows(t: pa.Table) -> pa.Table:
-        _, _, terms, _ = _postings(t, text_col, id_col)
-        return pa.table({"gram": pa.array(hash64(terms).astype(np.int64)
-                                          if len(terms) else
-                                          np.empty(0, np.int64),
-                                          type=pa.int64())})
-
-    lexicon = ds.map_batches(df_rows, batch_format="pyarrow") \
-        .groupby("gram").aggregate(Count(alias_name="df")) \
-        .materialize()
+    lexicon = _lexicon(ds, text_col, id_col).materialize()
 
     def topk_local(ids, rows, terms, tf, dfv) -> pa.Table:
         score = tf / dfv                       # one exact division
@@ -194,18 +200,8 @@ def vocab_coverage(ds, text_col: str = "text", id_col: str = "doc_id",
     the hash-bucketed equi-join and fold per doc with one grouped
     aggregate (equality-tested via ``broadcast_max=0``)."""
     import ray
-    from ray.data.aggregate import Count, Sum
 
-    def df_rows(t: pa.Table) -> pa.Table:
-        _, _, terms, _ = _postings(t, text_col, id_col)
-        return pa.table({"gram": pa.array(hash64(terms).astype(np.int64)
-                                          if len(terms) else
-                                          np.empty(0, np.int64),
-                                          type=pa.int64())})
-
-    lexicon = ds.map_batches(df_rows, batch_format="pyarrow") \
-        .groupby("gram").aggregate(Count(alias_name="df")) \
-        .materialize()
+    lexicon = _lexicon(ds, text_col, id_col).materialize()
 
     def fold_local(ids, rows, tf, oov_mask) -> pa.Table:
         n_docs = len(ids)
@@ -251,7 +247,6 @@ def vocab_coverage(ds, text_col: str = "text", id_col: str = "doc_id",
     # 100-TB path: posting rows × lexicon through the bucketed join,
     # one grouped Sum/Count per doc id (rows are Heaps-compressed
     # (doc, term) postings, never raw tokens)
-    import pandas as pd
     from prompture_ray.stages.shuffle import join
 
     def posting_rows(t: pa.Table) -> pa.Table:
@@ -266,19 +261,13 @@ def vocab_coverage(ds, text_col: str = "text", id_col: str = "doc_id",
     posts = ds.map_batches(posting_rows, batch_format="pyarrow")
     joined = join(posts, lexicon, "gram", n_buckets=n_buckets)
 
-    def partials(b: pd.DataFrame) -> pd.DataFrame:
-        tf = b["tf"].to_numpy().astype(np.int64)
-        oov = (b["df"].to_numpy().astype(np.int64) < min_df)
-        return pd.DataFrame({
-            "id": b["id"].to_numpy().astype(np.int64),
-            "n_tokens": tf, "n_distinct": np.ones(len(b), np.int64),
-            "n_oov": tf * oov.astype(np.int64)})
+    def oov(t: pa.Table) -> pa.Table:
+        return pa.table({"id": t["id"], "tf": t["tf"], "oov": pc.if_else(
+            pc.less(t["df"], min_df), t["tf"], 0)})
 
-    agg = joined.map_batches(partials, batch_format="pandas") \
-        .groupby("id").aggregate(Sum("n_tokens", alias_name="n_tokens"),
-                                 Sum("n_distinct",
-                                     alias_name="n_distinct"),
-                                 Sum("n_oov", alias_name="n_oov"))
+    agg = aggregate(joined.map_batches(oov, batch_format="pyarrow"),
+                    ["id"], n_tokens=("sum", "tf"),
+                    n_distinct=("count", None), n_oov=("sum", "oov"))
 
     def finish(t: pa.Table) -> pa.Table:
         nt = t["n_tokens"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -311,10 +300,10 @@ def vocab_jaccard(ds, group_col: str, text_col: str = "text",
     GLOBAL distinct, and every token's group set lands whole, so one
     vectorized run-boundary pass (itemsets' pair-expansion kernel)
     emits intersection partials and per-group size partials together;
-    the fold is a grouped Sum bounded by groups², and only that tiny
+    one ``shuffle.aggregate`` sums them, bounded by groups², and only
+    that tiny
     pair table reaches the driver for the final division."""
     import pandas as pd
-    from ray.data.aggregate import Sum
     from prompture_ray.stages.itemsets import pairs_within_sorted_groups
     from prompture_ray.stages.shuffle import partition_fold
     from prompture_ray.functions import limit_arrow_threads
@@ -364,10 +353,9 @@ def vocab_jaccard(ds, group_col: str, text_col: str = "text",
         out["c"] = out["c"].astype("int64")
         return out
 
-    folded = partition_fold(
+    folded = aggregate(partition_fold(
         ds.map_batches(pairs_partial, batch_format="pyarrow"), ["th"],
-        per_token, n_parts=n_parts) \
-        .groupby(["ga", "gb"]).aggregate(Sum("c", alias_name="c")) \
+        per_token, n_parts=n_parts), ["ga", "gb"], c=("sum", "c")) \
         .to_pandas()          # bounded by groups² rows — the contract
 
     sizes = folded[folded["gb"] == ""].set_index("ga")["c"]
@@ -407,13 +395,11 @@ def distinctive_terms(ds, group_col: str, text_col: str = "text",
     ``broadcast_max`` terms, hash buckets beyond — equality-tested via
     ``broadcast_max=0``); the final cut is analytic.top_k_per_group
     (partial top-k per block)."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
     from prompture_ray.stages.analytic import top_k_per_group
-    from prompture_ray.stages.shuffle import bound_blocks, lookup
+    from prompture_ray.stages.shuffle import lookup
     from prompture_ray.functions import limit_arrow_threads
 
-    def count_partial(t: pa.Table) -> pa.Table:
+    def group_terms(t: pa.Table) -> pa.Table:
         limit_arrow_threads(1)
         col = t[text_col]
         if isinstance(col, pa.ChunkedArray):
@@ -428,25 +414,14 @@ def distinctive_terms(ds, group_col: str, text_col: str = "text",
         flat = lists.flatten()
         keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
         toks = np.asarray(flat.to_pylist(), dtype=object)[keep]
-        g = np.repeat(gv, row_len)[keep]
-        df = pd.DataFrame({"g": g, "term": toks}) \
-            .groupby(["g", "term"], sort=False).size() \
-            .rename("c").reset_index()
-        return pa.table({"g": pa.array(df["g"].to_numpy(),
+        return pa.table({"g": pa.array(np.repeat(gv, row_len)[keep],
                                        type=pa.string()),
-                         "term": pa.array(df["term"].to_numpy(),
-                                          type=pa.string()),
-                         "c": pa.array(df["c"].to_numpy()
-                                       .astype(np.int64))})
+                         "term": pa.array(toks, type=pa.string())})
 
-    counts = bound_blocks(ds.map_batches(count_partial,
-                                         batch_format="pyarrow")) \
-        .groupby(["g", "term"]).aggregate(Sum("c", alias_name="c")) \
-        .materialize()
-
-    term_tot = counts.groupby("term") \
-        .aggregate(Sum("c", alias_name="ct")).materialize()
-    gt = counts.groupby("g").aggregate(Sum("c", alias_name="ng")) \
+    counts = aggregate(ds.map_batches(group_terms, batch_format="pyarrow"),
+                       ["g", "term"], c=("count", None)).materialize()
+    term_tot = aggregate(counts, ["term"], ct=("sum", "c")).materialize()
+    gt = aggregate(counts, ["g"], ng=("sum", "c")) \
         .to_pandas()                       # tiny: one row per group
     ng_map = dict(zip(gt["g"], gt["ng"].astype(np.int64)))
     big_n = int(gt["ng"].sum())

@@ -24,7 +24,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from prompture_ray.stages.shuffle import auto_n_parts, partition_fold
+from prompture_ray.stages.shuffle import (aggregate, auto_n_parts,
+                                          partition_fold)
 
 
 def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
@@ -42,8 +43,6 @@ def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
     query passes), a full run of a mapped or projected input, so pass
     ``n_parts`` for those.
     """
-    from ray.data.aggregate import Sum
-
     step_set = pa.array(steps, type=pa.string())
     nparts = n_parts or auto_n_parts(ds)
 
@@ -79,8 +78,7 @@ def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
 
     partials = partition_fold(ds.map_batches(tag, batch_format="pyarrow"),
                               ["u"], chain, n_parts=nparts)
-    out = partials.groupby("step") \
-        .aggregate(Sum("users", alias_name="users"))
+    out = aggregate(partials, ["step"], users=("sum", "users"))
 
     types = pd.DataFrame({"step": np.arange(1, len(steps) + 1,
                                             dtype=np.int64),
@@ -111,8 +109,6 @@ def retention_cohorts(ds, user_col: str, ts_col: str,
     query passes), a full run of a mapped or projected input, so pass
     ``n_parts`` for those.
     """
-    from ray.data.aggregate import Sum
-
     nparts = n_parts or auto_n_parts(ds)
 
     def tag(t: pa.Table) -> pa.Table:
@@ -137,8 +133,8 @@ def retention_cohorts(ds, user_col: str, ts_col: str,
 
     partials = partition_fold(ds.map_batches(tag, batch_format="pyarrow"),
                               ["u"], fold, n_parts=nparts)
-    return partials.groupby(["cohort_day", "day_offset"]) \
-        .aggregate(Sum("users", alias_name="users"))
+    return aggregate(partials, ["cohort_day", "day_offset"],
+                     users=("sum", "users"))
 
 
 def transition_counts(ds, user_col: str, ts_col: str, tie_col: str,
@@ -158,38 +154,23 @@ def transition_counts(ds, user_col: str, ts_col: str, tie_col: str,
 
     Scale shape: ``lag_shift`` (one ``shuffle.partition_fold`` on the
     user, vectorized grouped shift per fold frame) emits only the
-    bounded (from, to) pair partials; the |types|²-sized count table
-    takes one narrow grouped shuffle, and the per-from totals are a
-    second grouped fold of that TINY table (never a re-scan of the
-    events)."""
-    from ray.data.aggregate import Sum
+    bounded (from, to) pair rows; the |types|²-sized count table takes
+    one ``shuffle.aggregate``, and the per-from totals are a second
+    grouped fold of that TINY table (never a re-scan of the events)."""
     from prompture_ray.stages.analytic import lag_shift
 
     lead = lag_shift(ds, user_col, ts_col, tie_col, [type_col],
                      shifts=(-1,), n_parts=n_parts)
 
     def pairs(t: pa.Table) -> pa.Table:
-        nxt = t[f"{type_col}_lead1"]
-        if isinstance(nxt, pa.ChunkedArray):
-            nxt = nxt.combine_chunks()
-        ok = pc.is_valid(nxt).to_numpy(zero_copy_only=False)
-        a = np.asarray(t[type_col].to_pylist(), dtype=object)[ok]
-        b = np.asarray(nxt.to_pylist(), dtype=object)[ok]
-        if not len(a):
-            return pa.table({
-                "from_type": pa.array([], type=pa.string()),
-                "to_type": pa.array([], type=pa.string()),
-                "cnt": pa.array([], type=pa.int64())})
-        g = pd.DataFrame({"a": a, "b": b}) \
-            .groupby(["a", "b"], sort=False).size().reset_index()
-        return pa.table({
-            "from_type": pa.array(g["a"].to_numpy(), type=pa.string()),
-            "to_type": pa.array(g["b"].to_numpy(), type=pa.string()),
-            "cnt": pa.array(g[0].to_numpy().astype(np.int64))})
+        a, b = t[type_col], t[f"{type_col}_lead1"]
+        # a pair with a null type on either side is not counted
+        ok = pc.and_(pc.is_valid(a), pc.is_valid(b))
+        return pa.table({"from_type": pc.cast(a.filter(ok), pa.string()),
+                         "to_type": pc.cast(b.filter(ok), pa.string())})
 
-    counts = lead.map_batches(pairs, batch_format="pyarrow") \
-        .groupby(["from_type", "to_type"]) \
-        .aggregate(Sum("cnt", alias_name="cnt"))
+    counts = aggregate(lead.map_batches(pairs, batch_format="pyarrow"),
+                       ["from_type", "to_type"], cnt=("count", None))
 
     def probs(g: pd.DataFrame) -> pd.DataFrame:
         tot = int(g["cnt"].sum())

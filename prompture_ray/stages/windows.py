@@ -20,7 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from prompture_ray.stages import shuffle
-from prompture_ray.stages.shuffle import lookup, partition_fold
+from prompture_ray.stages.shuffle import aggregate, lookup, partition_fold
 
 
 # hash partitions of the (key, bucket) cells in the bucketed forms
@@ -63,8 +63,7 @@ def _cell_fold(by: list, cols: list, compute):
 def tumbling_window(ds, ts_col: str, keys: list[str], unit: str = "hour",
                     agg_col: str | None = None):
     """Tumbling event-time window: floor ts to the unit inside map_batches
-    (no shuffle), then one grouped aggregate."""
-    from ray.data.aggregate import Count, Sum
+    (no shuffle), then one ``shuffle.aggregate`` (unordered)."""
 
     def bucket(t: pa.Table) -> pa.Table:
         w = pc.floor_temporal(t[ts_col], unit=unit)
@@ -74,11 +73,11 @@ def tumbling_window(ds, ts_col: str, keys: list[str], unit: str = "hour",
             cols[agg_col] = t[agg_col]
         return pa.table(cols)
 
-    aggs = [Count(alias_name="n")]
+    outs = {"n": ("count", None)}
     if agg_col:
-        aggs.append(Sum(agg_col, alias_name=f"sum_{agg_col}"))
-    return ds.map_batches(bucket, batch_format="pyarrow") \
-             .groupby(keys + ["window"]).aggregate(*aggs)
+        outs[f"sum_{agg_col}"] = ("sum", agg_col)
+    return aggregate(ds.map_batches(bucket, batch_format="pyarrow"),
+                     keys + ["window"], **outs)
 
 
 def session_windows(ds, key_col: str, ts_col: str,
@@ -228,8 +227,11 @@ def session_windows_bucketed(ds, key_col: str, ts_col: str,
     def local_sessions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, "__bucket", ts_col],
                           kind="mergesort")
-        cell_change = (g[key_col].ne(g[key_col].shift())
-                       | g["__bucket"].ne(g["__bucket"].shift()))
+        # neighbours compared as arrays: ``shift()`` would widen an int64
+        # key to float64, where keys above 2^53 compare equal
+        k, b = g[key_col].to_numpy(), g["__bucket"].to_numpy()
+        cell_change = np.ones(len(g), dtype=bool)
+        cell_change[1:] = (k[1:] != k[:-1]) | (b[1:] != b[:-1])
         new_s = cell_change | (g[ts_col].diff() > gap_td)
         sid = new_s.cumsum()
         out = g.groupby(sid).agg(
@@ -271,12 +273,10 @@ def session_counts_bucketed(ds, key_col: str, ts_col: str,
     sessionizer — group size is bounded by (key × time bucket), so a
     single bot key with 10^8 events never becomes one pandas group
     (VERDICT-r3 'what's wrong' #5). Same result as ``session_counts``
-    (pinned by test)."""
-    from ray.data.aggregate import Count, Sum
+    (pinned by test). Unordered."""
     sw = session_windows_bucketed(ds, key_col, ts_col, gap, bucket)
-    return sw.groupby(key_col).aggregate(
-        Count(alias_name="n_sessions"),
-        Sum("n_events", alias_name="n_events"))
+    return aggregate(sw, [key_col], n_sessions=("count", None),
+                     n_events=("sum", "n_events"))
 
 
 def hopping_window(ds, ts_col: str, keys: list[str], window: str = "2h",
@@ -284,9 +284,9 @@ def hopping_window(ds, ts_col: str, keys: list[str], window: str = "2h",
     """Hopping (sliding) event-time window: each event lands in
     ``window/hop`` overlapping windows. Replication happens vectorized
     inside map_batches (numpy tile — no per-row loop, no shuffle before
-    the single grouped aggregate). ``window`` must be an integer multiple
-    of ``hop``; the output ``window_start`` is a timestamp."""
-    from ray.data.aggregate import Count, Sum
+    the single ``shuffle.aggregate``). ``window`` must be an integer
+    multiple of ``hop``; the output ``window_start`` is a timestamp.
+    Unordered."""
 
     window_s = int(pd.Timedelta(window).total_seconds())
     hop_s = int(pd.Timedelta(hop).total_seconds())
@@ -323,11 +323,11 @@ def hopping_window(ds, ts_col: str, keys: list[str], window: str = "2h",
             cols[agg_col] = pa.chunked_array([v] * k).combine_chunks()
         return pa.table(cols)
 
-    aggs = [Count(alias_name="n")]
+    outs = {"n": ("count", None)}
     if agg_col:
-        aggs.append(Sum(agg_col, alias_name=f"sum_{agg_col}"))
-    return ds.map_batches(replicate, batch_format="pyarrow") \
-             .groupby(keys + ["window_start"]).aggregate(*aggs)
+        outs[f"sum_{agg_col}"] = ("sum", agg_col)
+    return aggregate(ds.map_batches(replicate, batch_format="pyarrow"),
+                     keys + ["window_start"], **outs)
 
 
 def group_quantiles(ds, key_col: str, value_col: str,

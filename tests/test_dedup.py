@@ -38,8 +38,17 @@ def test_dedup_exact_first_wins(ds):
 
 
 def test_dedup_exact_stats(ds):
-    s = dd.dedup_exact_stats(ds, "text")
-    assert s == {"total": 7, "kept": 4, "removed": 2, "empty_dropped": 1}
+    import ray.data as rd
+    want = {"total": 7, "kept": 4, "removed": 2, "empty_dropped": 1}
+    assert dd.dedup_exact_stats(ds, "text") == want
+    # one row per block: the same counters whatever the layout
+    t = corpus()
+    seven = rd.from_arrow([t.slice(i, 1) for i in range(t.num_rows)])
+    assert dd.dedup_exact_stats(seven, "text") == want
+    # empty and null texts only: every row is dropped, none kept
+    blank = pa.table({"doc_id": [0, 1, 2], "text": ["", None, ""]})
+    assert dd.dedup_exact_stats(rd.from_arrow(blank), "text") == {
+        "total": 3, "kept": 0, "removed": 0, "empty_dropped": 3}
 
 
 def test_shingle_hashes_set_semantics():

@@ -5,6 +5,7 @@ map-back built on them."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 N = 64
@@ -840,9 +841,36 @@ def _keyed_rows() -> pa.Table:
                       pa.int64())})
 
 
+def _null_edges() -> pa.Table:
+    """``_edges`` plus one edge with a null source."""
+    t = _edges()
+    return pa.concat_tables([t, pa.table({
+        c: pa.array([None if c == "src" else 2**61 + 3], pa.int64())
+        for c in t.column_names})])
+
+
+def _null_host_docs() -> pa.Table:
+    """``_docs`` with doc ids above 2^61 and a null ``dom`` host on
+    every ninth doc."""
+    t = _docs()
+    dom = [None if i % 9 == 4 else d
+           for i, d in enumerate(t["dom"].to_pylist())]
+    return t.set_column(0, "doc_id", pc.add(t["doc_id"], 2**61)) \
+        .set_column(2, "dom", pa.array(dom, pa.string()))
+
+
+def _keyed_events() -> pa.Table:
+    """``_keyed_rows`` with keys above 2^61 (the null key stays) and
+    ``t`` also as a timestamp column ``ts``."""
+    t = _keyed_rows()
+    t = t.set_column(0, "k", pc.add(t["k"], 2**61))
+    return t.append_column("ts", t["t"].cast(pa.timestamp("us")))
+
+
 def _stage_ops():
-    from prompture_ray.stages import (analytic, dedup, entity_store, graph,
-                                      sampling, setjoin, tfidf)
+    from prompture_ray.stages import (analytic, boilerplate, dedup,
+                                      entity_store, graph, salted, sampling,
+                                      setjoin, tfidf, windows)
     seeds = [2**61 + 1, 2**61 + 2]
     return {
         "set_similarity_join": (_docs, lambda ds: setjoin.set_similarity_join(
@@ -874,6 +902,17 @@ def _stage_ops():
             ds, "k", "t", "tie", ["p", "w"], shifts=(1, -2), n_parts=8)),
         "suppress_bursts": (_keyed_rows, lambda ds: analytic.suppress_bursts(
             ds, "k", "t", "tie", min_gap=3 * HOUR, n_parts=8)),
+        # grouped aggregates on shuffle.aggregate
+        "degree_table": (_null_edges, lambda ds: graph.degree_table(ds)),
+        "session_counts_bucketed": (
+            _keyed_events, lambda ds: windows.session_counts_bucketed(
+                ds, "k", "ts", gap="2h", bucket="1d")),
+        "salted_groupby_stats": (
+            _keyed_events, lambda ds: salted.salted_groupby_stats(
+                ds, "k", "w", n_salt=3)),
+        "boilerplate_lines": (
+            _null_host_docs, lambda ds: boilerplate.boilerplate_lines(
+                ds, host_col="dom", broadcast_max=0, n_buckets=4)),
     }
 
 
@@ -909,6 +948,19 @@ def test_stage_fold_is_layout_independent(ray_session, op):
         got.append(df.sort_values(list(df.columns), ignore_index=True))
     assert len(got[0]) > 0
     pd.testing.assert_frame_equal(got[0], got[1])
+
+
+# the ops whose result is one ``shuffle.aggregate``; ``boilerplate_lines``
+# is left out: its ``shuffle.lookup`` of an empty host table raises
+# ``KeyError`` (no columns to take the schema from)
+@pytest.mark.parametrize("op", ["degree_table", "session_counts_bucketed",
+                                "salted_groupby_stats"])
+def test_stage_aggregate_of_no_rows(ray_session, op):
+    """An empty input runs and gives no rows. (Its blocks carry no
+    columns: a fold over no rows emits a column-less block.)"""
+    import ray.data as rd
+    data, fn = _stage_ops()[op]
+    assert _arrow(fn(rd.from_arrow(data().slice(0, 0)))).num_rows == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1060,3 +1112,63 @@ def test_block_counts_are_decided_only_in_shuffle():
     assert splits - _KEPT_REPARTITIONS == set()
     assert _KEPT_REPARTITIONS <= splits, \
         "a kept site moved: update _KEPT_REPARTITIONS"
+
+
+# ---------------------------------------------------------------------------
+# one grouped aggregate: no keyed Ray groupby().aggregate outside shuffle.py
+# ---------------------------------------------------------------------------
+# (module, enclosing function): each keeps a keyed Ray aggregate for the
+# reason given next to it
+_KEPT_AGGREGATES: dict = {}
+
+
+def _keyed_aggregates(source: str, module: str) -> set:
+    """``(module, top-level function)`` of every
+    ``.groupby(...).aggregate(...)`` call in ``source`` (Ray's keyed
+    aggregate; Arrow's ``group_by`` and a keyless ``ds.aggregate`` do
+    not count)."""
+    import ast
+    found = set()
+    for top in ast.parse(source).body:
+        fn_name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "aggregate" \
+                    and isinstance(node.func.value, ast.Call) \
+                    and isinstance(node.func.value.func, ast.Attribute) \
+                    and node.func.value.func.attr == "groupby":
+                found.add((module, fn_name))
+    return found
+
+
+def test_guard_finds_a_ray_groupby_aggregate():
+    src = ("def op(ds):\n"
+           "    return ds.map_batches(f).groupby('k') \\\n"
+           "        .aggregate(Sum('c', alias_name='c'))\n"
+           "def many(ds):\n"
+           "    return ds.groupby(['a', 'b']).aggregate(Count())\n"
+           "def fine(ds, t):\n"
+           "    t.group_by('k').aggregate([('v', 'sum')])\n"
+           "    ds.aggregate(Sum('v'))\n"
+           "    return aggregate(ds, ['k'], n=('count', None))\n")
+    assert _keyed_aggregates(src, "m.py") == {("m.py", "op"),
+                                              ("m.py", "many")}
+
+
+def test_keyed_aggregates_only_through_shuffle():
+    """No module of ``prompture_ray`` outside ``stages/shuffle.py`` runs
+    Ray's row-at-a-time keyed ``groupby().aggregate``: grouped counts,
+    sums, minima and maxima go through ``shuffle.aggregate``. Only the
+    sites in ``_KEPT_AGGREGATES`` keep one."""
+    import pathlib
+    import prompture_ray
+    root = pathlib.Path(prompture_ray.__file__).parent
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        if path.relative_to(root) != pathlib.Path("stages", "shuffle.py"):
+            found |= _keyed_aggregates(path.read_text(),
+                                       str(path.relative_to(root)))
+    assert found - set(_KEPT_AGGREGATES) == set()
+    assert set(_KEPT_AGGREGATES) <= found, \
+        "a kept site moved: update _KEPT_AGGREGATES"
