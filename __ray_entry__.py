@@ -19,7 +19,7 @@ from typing import Any
 def entry() -> Any:
     """Flagship pipeline: synthesize the web_pages table (sf0.001-scale,
     deterministic, cached under /tmp) and run the full validation suite —
-    read → HtmlExtractor actor pool → fused validate+sink+sketch pass →
+    one fused read → extract → validate+sink+sketch task per block →
     uniqueness/referential shuffle checks → report. Returns the violation
     rows as a pandas DataFrame (stable schema, ≥0 rows)."""
     import pandas as pd

@@ -146,9 +146,11 @@ def extract_column(arr):  # pa.Array | pa.ChunkedArray -> pa.Array
 class HtmlExtractor:
     """Map stage: html:binary column → extracted_text:string column.
 
-    ``run_suite`` passes an instance, ``ds.map_batches(HtmlExtractor(),
-    batch_format="pyarrow", batch_size=1024)``, so it runs as a stateless
-    task pool and Ray fuses read → extract → validate into one task chain.
+    ``run_suite`` calls an instance inside its fused scan
+    (``validate_pipeline.ScanBlock``) on each slice of a read block, just
+    before ``ValidateAndSink``; it is not a ``map_batches`` stage of its
+    own. Extraction state (compiled regexes, parser class) lives at module
+    level, so an instance costs nothing to build or ship.
     Extraction is per-row Python over the column (``extract_column``): a
     chain of ``pyarrow.compute`` RE2 kernels gives the same text but
     measured slower (about 22 against 16 µs/row before the regex tuning

@@ -3,19 +3,27 @@
 Execution shape (SURVEY §3.2's runner skeleton, made data-parallel):
 
     read_parquet(pending fragments, include_paths)          [stream]
-      → HtmlExtractor actor pool (only if extract_match)    [stateful]
-      → ValidateAndSink map_batches                         [one pass]
-            · evaluates every row-level check vectorized
-            · writes violation rows → violations/pid=<pid>/ [side sink]
-            · accumulates per-batch sketch partials
-            · emits ONE small partial row per (batch × fragment)
-      → driver folds partial rows STREAMING (iter_batches):
+      → ScanBlock map_batches(batch_size=None), fused into the read:
+        one task-pool call per read block, which
+            · extracts html → text per slice (only if extract_match)
+            · runs ValidateAndSink per slice of ≤ batch_size rows:
+              every row-level check vectorized, violation rows →
+              violations/pid=<pid>/ [side sink], sketch partials
+            · merges the block's partial rows with MergePartials
+            · emits ONE small partial row per (block × fragment)
+      → driver folds each partial block as it arrives
+        (iter_batches(batch_size=None)):
             · sketch merge (associative partial+final reduction)
-            · per-fragment row counts → manifest checkpoint record as soon
-              as a fragment completes (incremental, resumable)
+            · per-fragment row counts → manifest checkpoint record,
+              callback and budget check as soon as a fragment completes
+              (incremental, resumable)
     + table-level passes on narrow projections (unique / referential)
     + drift scoring vs pinned baseline
     → report.json {meta, results[], stats, drift, run}
+
+Ray plans the scan as ONE operator, ``ReadParquet->MapBatches(ScanBlock)``:
+a map with ``batch_size`` set does not fuse into the read, so the scan's
+stages live inside one callable rather than in three ``map_batches``.
 
 Resume: completed fragments (manifest) are skipped entirely; violation
 dirs of incomplete partitions are wiped before rerun (idempotent outputs);
@@ -24,11 +32,11 @@ metrics always come from manifest records so nothing double-counts.
 Scale notes: the one linear scan carries the whole row-level suite; the
 only shuffles are the uniqueness groupby and (when the right side is big)
 the referential anti-join — both over projected key columns, never over
-``html``. Sketch partials are a few hundred KB per block; the
-``MergePartials`` map_batches level collapses them to ONE row per
-fragment before they transit the driver (the merge is associative —
-tested under arbitrary groupings), so the driver fold is O(fragments)
-in rows as well as state.
+``html``. Sketch partials are a few hundred KB per batch; ``ScanBlock``
+merges them to one row per fragment of its block before they transit the
+driver (the merge is associative — tested under arbitrary groupings), so
+the driver fold is O(read blocks) in rows and O(fragments in flight) in
+state.
 """
 
 from __future__ import annotations
@@ -247,12 +255,11 @@ class ValidateAndSink:
 class MergePartials:
     """Distributed merge level for ValidateAndSink partial rows.
 
-    Runs as a ``map_batches`` stage between the scan and the driver fold,
-    merging all partial rows of the same fragment path that land in one
-    block — with one block per fragment (the read sizing above) that is
-    every batch of the fragment, so the driver folds ~one row per
-    FRAGMENT instead of one row per (batch × fragment). At 10^12 docs /
-    ~40M fragments this removes the first driver bottleneck.
+    ``ScanBlock`` runs it over the partial rows of its own read block,
+    merging all rows of the same fragment path, so the driver folds one
+    row per (read block × fragment) instead of one row per (batch ×
+    fragment). At 10^12 docs / ~40M fragments this removes the first
+    driver bottleneck.
 
     Correct for ANY row grouping: every merge here (counter sums,
     violation-count dict union, sketch merge, hash-blob concat) is
@@ -311,6 +318,37 @@ class MergePartials:
         return pa.Table.from_pylist(out, schema=PARTIAL_SCHEMA)
 
 
+class ScanBlock:
+    """The whole scan of one read block, as one task-pool ``map_batches``
+    call with ``batch_size=None``, so Ray fuses it into the read
+    (``ReadParquet->MapBatches(ScanBlock)``) and no block crosses the
+    object store between stages.
+
+    The block is cut into slices of at most ``batch_size`` rows; each
+    slice is extracted (when ``extractor`` is given) and passed to
+    ``sink``. ``merge`` then collapses the block's partial rows to one
+    row per fragment.
+    """
+
+    def __init__(self, sink: ValidateAndSink, merge: MergePartials,
+                 batch_size: int, extractor=None):
+        self.sink = sink
+        self.merge = merge
+        self.batch_size = batch_size
+        self.extractor = extractor
+
+    def __call__(self, block: pa.Table) -> pa.Table:
+        parts = []
+        for off in range(0, block.num_rows, self.batch_size):
+            batch = block.slice(off, self.batch_size)
+            if self.extractor is not None:
+                batch = self.extractor(batch)
+            parts.append(self.sink(batch))
+        if not parts:
+            return PARTIAL_SCHEMA.empty_table()
+        return self.merge(pa.concat_tables(parts))
+
+
 def list_fragments(input_dir: str | Path) -> list[str]:
     d = Path(input_dir)
     return sorted(str(p) for p in d.glob("*.parquet"))
@@ -359,7 +397,6 @@ def run_suite(
     key_col: str = "url",
     ref_tables: dict[str, str] | None = None,
     batch_size: int = 4096,
-    extract_concurrency=None,
     baseline_path: str | Path | None = None,
     unique_violation_rows: bool = False,
     budget: dict | None = None,
@@ -369,6 +406,13 @@ def run_suite(
 
     ``ref_tables`` maps a referential check's ``ref_table`` name to a
     parquet path/dir. Ray must already be initialised by the caller.
+    ``batch_size`` caps the rows of one extract + validate slice of a read
+    block.
+
+    ``report["run"]["phases"]`` holds seconds per phase, the driver fold's
+    time and partial rows inside the scan, and ``first_partition``: the
+    seconds from the call to the first partition this run completes
+    (absent when every partition was resumed).
 
     ``budget``: optional ceilings checked after every completed
     partition (reference check_budget, tracker.py:604-698) — keys
@@ -482,38 +526,24 @@ def run_suite(
         n_blocks = max(len(pending_paths), total_bytes // (128 << 20))
         ds = rd.read_parquet(pending_paths, include_paths=True,
                              override_num_blocks=n_blocks)
+        extractor = None
         if needs_extract:
             from prompture_ray.functions.extract_html import HtmlExtractor
-            # Default: STATELESS TASK POOL. Extraction state (compiled
-            # regexes, parser class) lives at module level, so tasks pay no
-            # per-task init; task-pool map_batches also lets Ray fuse
-            # read→extract→validate into one pipelined task chain, which
-            # measured ~2× faster than a separate actor pool here (an
-            # over-sized pool additionally starves the other stages).
-            # Pass extract_concurrency to force an actor pool instead
-            # (e.g. when extraction grows genuinely expensive per-actor
-            # state such as an ML model).
-            if extract_concurrency is None:
-                ds = ds.map_batches(HtmlExtractor(), batch_format="pyarrow",
-                                    batch_size=1024)
-            else:
-                ds = ds.map_batches(HtmlExtractor, batch_format="pyarrow",
-                                    batch_size=1024,
-                                    concurrency=extract_concurrency)
-        partials = ds.map_batches(
+            extractor = HtmlExtractor()
+        # one stateless task-pool call per read block (batch_size=None):
+        # Ray fuses it into the read, so a block is read, extracted,
+        # validated, sunk and merged in one task
+        scan = ScanBlock(
             ValidateAndSink(suite, str(out), key_col, path_to_pid,
                             ref_broadcasts=ref_broadcasts,
                             unique_checks=unique_checks if fuse_unique else []),
-            batch_format="pyarrow", batch_size=batch_size)
-        # distributed merge level: collapse per-(batch × fragment) partial
-        # rows to ~per-fragment rows before they transit the driver
-        # (batch_size=None → merge whole blocks; with one read block per
-        # fragment all of a fragment's partials sit in one block)
-        partials = partials.map_batches(
-            MergePartials(stats_checks), batch_format="pyarrow",
-            batch_size=None)
+            MergePartials(stats_checks), batch_size, extractor)
+        partials = ds.map_batches(scan, batch_format="pyarrow",
+                                  batch_size=None)
 
-        # streaming driver fold + incremental per-fragment checkpointing.
+        # streaming driver fold + incremental per-fragment checkpointing,
+        # one partial block at a time as the scan yields it (a batch_size
+        # here would hold rows back until that many had arrived).
         # Per-fragment sketch partials are persisted atomically BEFORE the
         # manifest record, so a crash can never produce a completed
         # fragment without its stats (memory stays bounded: only fragments
@@ -522,7 +552,8 @@ def run_suite(
         # budget counters seeded from resumed partitions (cheap: manifest)
         running = dict(manifest.totals()) if budget else {}
         fold_s, folded_rows = 0.0, 0
-        for pb in partials.iter_batches(batch_size=64, batch_format="pyarrow"):
+        for pb in partials.iter_batches(batch_size=None,
+                                        batch_format="pyarrow"):
             t_fold = time.perf_counter()
             folded_rows += pb.num_rows
             for row in pb.to_pylist():
@@ -564,6 +595,8 @@ def run_suite(
                         "input_fragments": [path],
                         **record,
                     })
+                    phases.setdefault("first_partition",
+                                      round(time.perf_counter() - t_start, 3))
                     if callbacks:
                         callbacks.partition(pid, record)
                     if budget:

@@ -245,6 +245,8 @@ def test_run_callbacks(ray_session, tmp_path):
     assert {p["partition_id"] for p in seen["parts"]} == {0, 1, 2}
     assert any(c["check_id"] == "url-unique" for c in seen["checks"])
     assert seen["reports"][0]["run"]["rows"] == report["run"]["rows"]
+    phases = report["run"]["phases"]
+    assert 0 < phases["first_partition"] <= phases["main_scan"]
 
 
 def test_merge_partials_grouping_invariant(ray_session):
@@ -310,3 +312,75 @@ def test_merge_partials_grouping_invariant(ray_session):
                                        schema=PARTIAL_SCHEMA)
             merged_rows.extend(mp(tbl).to_pylist())
         assert fold(merged_rows) == direct, grouping
+
+
+def test_partition_verdicts_stream_during_scan(ray_session, webpages_small,
+                                               tmp_path, monkeypatch):
+    """The driver folds each partial block as the scan yields it: the first
+    partition verdict fires before the scan's last partial batch arrives,
+    not after the whole stream has been buffered."""
+    import ray.data
+    from prompture_ray.pipelines.validate_pipeline import RunCallbacks
+
+    events = []
+    iter_batches = ray.data.Dataset.iter_batches
+
+    def logged_iter_batches(self, *args, **kwargs):
+        for batch in iter_batches(self, *args, **kwargs):
+            if "viol_json" in batch.column_names:  # the scan's partials
+                events.append("batch")
+            yield batch
+
+    monkeypatch.setattr(ray.data.Dataset, "iter_batches", logged_iter_batches)
+    cb = RunCallbacks(on_partition_complete=lambda _p: events.append("verdict"))
+    report = run_suite(webpages_small / "pages", default_webpages_suite(),
+                       tmp_path / "out", callbacks=cb)
+    assert report["run"]["partitions"] >= 4
+    assert events.count("verdict") == report["run"]["partitions"]
+    last_batch = len(events) - 1 - events[::-1].index("batch")
+    assert events.index("verdict") < last_batch, events
+
+
+def test_fused_scan_layout_independent(ray_session, webpages_small, tmp_path):
+    """Slicing read blocks into 300-row or 4096-row validate batches gives
+    the same counts, table-check results, stats and violation rows."""
+    import collections
+
+    suite = default_webpages_suite(ref_warc="warc_records")
+    runs = {}
+    for bs in (300, 4096):
+        out = tmp_path / f"bs{bs}"
+        report = run_suite(webpages_small / "pages", suite, out,
+                           ref_tables={"warc_records":
+                                       str(webpages_small / "warc")},
+                           batch_size=bs, unique_violation_rows=True)
+        viol = pq.read_table(sorted((out / "violations").rglob("*.parquet")),
+                             columns=["check_id", "row_key"])
+        runs[bs] = {
+            "run": {k: report["run"][k]
+                    for k in ("rows", "ok_rows", "violations_by_check")},
+            "table": json.loads((out / "table_checks.json").read_text()),
+            "stats": report["stats"],
+            "viol": collections.Counter(zip(viol["check_id"].to_pylist(),
+                                            viol["row_key"].to_pylist())),
+        }
+    small, large = runs[300], runs[4096]
+    assert small["run"] == large["run"]
+    assert small["table"] == large["table"]
+    assert small["viol"] == large["viol"]
+    assert sum(small["viol"].values()) > 0
+
+    # every sketch but KLL merges exactly; KLL compacts each update, so its
+    # quantiles follow the batch grouping and are checked against the true
+    # text lengths within the sketch's rank error instead
+    kll = {bs: r["stats"]["len-stats"].pop("kll") for bs, r in runs.items()}
+    assert small["stats"] == large["stats"]
+    text = pq.read_table(sorted((webpages_small / "pages").glob("*.parquet")),
+                         columns=["text"])["text"].drop_null()
+    lengths = np.sort([len(s) for s in text.to_pylist()])
+    for summary in kll.values():
+        assert summary["n"] == len(lengths)
+        for q, v in summary["quantiles"].items():
+            lo = np.searchsorted(lengths, v, "left") / len(lengths)
+            hi = np.searchsorted(lengths, v, "right") / len(lengths)
+            assert lo - 0.02 <= float(q) <= hi + 0.02, (q, v, lo, hi)

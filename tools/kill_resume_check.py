@@ -17,7 +17,10 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+# the checkout this script lives in: imported here and run by the child
+# processes, so a check always tests its own checkout's code
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO))
 
 ROOT = Path("/tmp/prompture_ray_killtest")
 
@@ -51,7 +54,7 @@ def main() -> int:
     out_ref = str(ROOT / "ref")
     ref = subprocess.run([sys.executable, "-c", RUN_CODE, pages, out_ref,
                           warc, "ref"], capture_output=True, text=True,
-                         cwd="/root/repo")
+                         cwd=REPO)
     ref_line = [l for l in ref.stdout.splitlines() if l.startswith("REPORT ")]
     assert ref_line, ref.stderr[-2000:]
     ref_report = json.loads(ref_line[0][7:])
@@ -59,7 +62,7 @@ def main() -> int:
     # killed run: SIGKILL once some (but not all) partitions are done
     out_kill = str(ROOT / "killed")
     proc = subprocess.Popen([sys.executable, "-c", RUN_CODE, pages, out_kill,
-                             warc, "k1"], cwd="/root/repo",
+                             warc, "k1"], cwd=REPO,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     manifest_dir = Path(out_kill) / "manifest"
     deadline = time.time() + 120
@@ -82,7 +85,7 @@ def main() -> int:
     # resume in a fresh process
     res = subprocess.run([sys.executable, "-c", RUN_CODE, pages, out_kill,
                           warc, "k2"], capture_output=True, text=True,
-                         cwd="/root/repo")
+                         cwd=REPO)
     res_line = [l for l in res.stdout.splitlines() if l.startswith("REPORT ")]
     assert res_line, res.stderr[-2000:]
     res_report = json.loads(res_line[0][7:])
